@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
+	"github.com/spectral-lpm/spectrallpm/internal/cluster"
+	"github.com/spectral-lpm/spectrallpm/internal/server"
 )
 
 // writeV2File persists ix in the v2 binary format under t.TempDir.
@@ -22,6 +24,24 @@ func writeV2File(t testing.TB, ix *spectrallpm.Index) string {
 		t.Fatal(err)
 	}
 	if _, err := ix.WriteToV2(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeShardedV2File persists sx in the sharded v2 binary format under
+// t.TempDir.
+func writeShardedV2File(t testing.TB, sx *spectrallpm.ShardedIndex) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "sharded.slpm2")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sx.WriteToV2(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -551,7 +571,10 @@ func TestMappedScanZeroAlloc(t *testing.T) {
 }
 
 // TestMappedShardedScanZeroAlloc extends the mapped zero-alloc guarantee
-// to the sharded planner over borrowed per-shard frames.
+// to the sharded planner over borrowed per-shard frames, and to the
+// one-shard views a cluster worker serves through: a Scope view and the
+// worker's ShardView answer the request-context surface allocation-free
+// too.
 func TestMappedShardedScanZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool allocate")
@@ -561,20 +584,21 @@ func TestMappedShardedScanZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "sharded.slpm2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := built.WriteToV2(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	path := writeShardedV2File(t, built)
 	sx, err := spectrallpm.OpenMappedSharded(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sx.Close()
+	scoped, err := sx.Scope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker, err := cluster.OpenShardWorker(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
 	box := spectrallpm.Box{Start: []int{10, 11}, Dims: []int{12, 9}} // straddles shards
 	n := 0
 	yield := func(int, []int) bool { n++; return true }
@@ -600,14 +624,39 @@ func TestMappedShardedScanZeroAlloc(t *testing.T) {
 			}
 		},
 	}
+	ctx := context.Background()
+	views := []struct {
+		name string
+		q    server.Queryable
+	}{{"sharded", sx}, {"scoped", scoped}, {"worker", worker}}
+	for _, v := range views {
+		paths[v.name+" ScanIntoContext"] = func() {
+			if err := v.q.ScanIntoContext(ctx, box, yield); err != nil {
+				t.Fatal(err)
+			}
+		}
+		paths[v.name+" PagesIntoContext"] = func() {
+			var err error
+			dst, err = v.q.PagesIntoContext(ctx, box, dst[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		paths[v.name+" QueryIOContext"] = func() {
+			if _, err := v.q.QueryIOContext(ctx, box); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	for _, name := range sortedKeys(paths) {
 		fn := paths[name]
+		n = 0
 		fn() // warm the pools
+		if strings.Contains(name, "Scan") && n == 0 {
+			t.Fatalf("%s: box misses the view", name)
+		}
 		if avg := testing.AllocsPerRun(50, fn); avg != 0 {
 			t.Errorf("mapped sharded %s allocates %.1f per op in steady state, want 0", name, avg)
 		}
-	}
-	if n == 0 {
-		t.Fatal("yield never ran")
 	}
 }

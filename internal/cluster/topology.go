@@ -1,12 +1,12 @@
 // Package cluster turns the single-process serving stack into a fleet:
-// shard workers serve one shard of a sharded index each (scoped to the
-// global coordinate and rank frame, so their answers compose), and a
-// router holds a static replicated topology, clips each query against the
-// shard bounds it learned from the workers, fans out over the network
-// with per-attempt timeouts, hedged reads, and jittered-backoff retries,
-// and k-way-merges the per-shard rank streams back into global rank order
-// through the same storage merge and pooled protocol layer the
-// single-node daemon uses.
+// shard workers serve one shard of a sharded index each through a
+// ShardedIndex.Scope view (still in the global coordinate and rank frame,
+// so their answers compose), and a router holds a static replicated
+// topology, clips each query against the shard bounds it learned from the
+// workers, fans out over the network with per-attempt timeouts, hedged
+// reads, and jittered-backoff retries, and k-way-merges the per-shard rank
+// streams back into global rank order through the same storage merge and
+// pooled protocol layer the single-node daemon uses.
 //
 // The spectral order makes this cheap: ShardedIndex gives every shard a
 // contiguous global rank block and an axis-aligned bounding box, so the

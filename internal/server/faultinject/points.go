@@ -41,7 +41,8 @@ const (
 	// request because the first replica exceeded the hedge threshold —
 	// the assertion point for first-response-wins drills.
 	PointRouterHedge = "router.hedge"
-	// PointWorkerReply fires in a shard worker at the top of every scoped
-	// query — the stall point for kill/hang-a-worker-mid-query drills.
+	// PointWorkerReply fires in a shard worker once at the top of every
+	// query, a batch included (one firing per request, not per box) — the
+	// stall point for kill/hang-a-worker-mid-query drills.
 	PointWorkerReply = "worker.reply"
 )

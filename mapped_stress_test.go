@@ -1,7 +1,9 @@
 package spectrallpm_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -229,6 +231,148 @@ func TestOpenMappedCloseUnderLoad(t *testing.T) {
 		wg.Wait()
 		if _, err := mapped.Rank(0, 0); !errors.Is(err, spectrallpm.ErrIndexClosed) {
 			t.Fatalf("cycle %d: Rank after Close = %v, want ErrIndexClosed", c, err)
+		}
+	}
+}
+
+// TestScopeCloseUnderLoad closes a Scope view while goroutines scan both
+// the view and its parent. The two share one Lifecycle, so the view's
+// Close must wait for every in-flight borrower of either — checked by
+// parking one scan inside its yield, on the view in even cycles and on
+// the parent in odd ones — and afterwards both answer ErrIndexClosed.
+// Every scan that does run must answer exactly, never from unmapped
+// bytes.
+func TestScopeCloseUnderLoad(t *testing.T) {
+	built, err := spectrallpm.BuildSharded(context.Background(), 4,
+		spectrallpm.WithGrid(16, 16), spectrallpm.WithPageSize(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeShardedV2File(t, built)
+	box := spectrallpm.Box{Start: []int{2, 3}, Dims: []int{9, 8}} // straddles shards
+	ranks := func(sx *spectrallpm.ShardedIndex, rows []int, yield func()) ([]int, error) {
+		err := sx.ScanInto(box, func(rank int, _ []int) bool {
+			rows = append(rows, rank)
+			yield()
+			return true
+		})
+		return rows, err
+	}
+	builtView, err := built.Scope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantParent, err := ranks(built, nil, func() {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantView, err := ranks(builtView, nil, func() {})
+	if err != nil || len(wantView) == 0 {
+		t.Fatalf("view scan: %v rows, %v", len(wantView), err)
+	}
+
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 4 {
+		workers = 4
+	}
+	const cycles = 10
+	for c := 0; c < cycles; c++ {
+		parent, err := spectrallpm.OpenMappedSharded(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := parent.Scope(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := []*spectrallpm.ShardedIndex{view, parent}
+		wants := [][]int{wantView, wantParent}
+
+		// The parked borrower: it enters a scan, signals, and stays inside
+		// its first yield until released.
+		inside, release := make(chan struct{}), make(chan struct{})
+		parked := make(chan error, 1)
+		go func() {
+			first := true
+			got, err := ranks(targets[c%2], nil, func() {
+				if first {
+					first = false
+					close(inside)
+					<-release
+				}
+			})
+			if err == nil && !slices.Equal(got, wants[c%2]) {
+				err = fmt.Errorf("parked scan ranks %v, want %v", got, wants[c%2])
+			}
+			parked <- err
+		}()
+		<-inside
+
+		var started, wg sync.WaitGroup // every worker lands one good query pre-Close
+		started.Add(workers)
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				sx, want := targets[w%2], wants[w%2]
+				got := make([]int, 0, len(want))
+				first := true
+				landed := func() {
+					if first {
+						first = false
+						started.Done()
+					}
+				}
+				defer landed() // never strand started.Wait on an early error
+				for {
+					var err error
+					got, err = ranks(sx, got[:0], func() {})
+					if errors.Is(err, spectrallpm.ErrIndexClosed) {
+						return // closed under us — the only acceptable failure
+					}
+					if err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					if !slices.Equal(got, want) {
+						t.Errorf("worker %d: ranks %v, want %v", w, got, want)
+						return
+					}
+					landed()
+				}
+			}(w)
+		}
+		started.Wait() // close only once load is provably in flight
+		closed := make(chan error, 1)
+		go func() { closed <- view.Close() }()
+		// Once Close has latched (new queries refuse), it must still be
+		// waiting for the parked scan.
+		for _, err := parent.Rank(5, 5); !errors.Is(err, spectrallpm.ErrIndexClosed); _, err = parent.Rank(5, 5) {
+			runtime.Gosched()
+		}
+		select {
+		case err := <-closed:
+			t.Fatalf("cycle %d: Close returned (%v) while a scan was still inside the mapping", c, err)
+		default:
+		}
+		close(release)
+		if err := <-parked; err != nil {
+			t.Fatalf("cycle %d: %v", c, err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatalf("cycle %d: Close under load: %v", c, err)
+		}
+		wg.Wait()
+		for _, sx := range targets {
+			if _, err := sx.Rank(5, 5); !errors.Is(err, spectrallpm.ErrIndexClosed) {
+				t.Fatalf("cycle %d: Rank after Close = %v, want ErrIndexClosed", c, err)
+			}
+			if _, err := ranks(sx, nil, func() {}); !errors.Is(err, spectrallpm.ErrIndexClosed) {
+				t.Fatalf("cycle %d: ScanInto after Close = %v, want ErrIndexClosed", c, err)
+			}
+		}
+		if err := parent.Close(); err != nil {
+			t.Fatalf("cycle %d: parent Close after view Close: %v", c, err)
 		}
 	}
 }

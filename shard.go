@@ -343,13 +343,33 @@ func (sx *ShardedIndex) ShardBounds(i int) (lo, hi []int, offset, records int) {
 		sx.offset[i], sx.offset[i+1] - sx.offset[i]
 }
 
-// ShardOrigin returns the translation from shard i's local coordinates to
-// global coordinates: grid shards are cells cut out of the global grid, so
-// local coordinate c maps to c + origin; point-set shards carry global
-// coordinates already and report a zero origin. Cluster workers use this
-// to serve one shard in the global frame.
-func (sx *ShardedIndex) ShardOrigin(i int) []int {
-	return append([]int(nil), sx.origin[i]...)
+// Scope returns a view of shard i alone, still in the GLOBAL coordinate
+// and rank frame: the view answers exactly the parent's rows, ranks and
+// page runs that fall in shard i's rank block [offset, offset+records)
+// and nothing else. It shares the parent's grid, global pager, shard
+// frames and mapped-region Lifecycle — queries through either one borrow
+// the same mapping — and its Close closes the parent. A cluster worker
+// serves one shard of a container this way, through the same serving core
+// as the whole index.
+func (sx *ShardedIndex) Scope(i int) (*ShardedIndex, error) {
+	if i < 0 || i >= len(sx.shards) {
+		return nil, fmt.Errorf("spectrallpm: shard %d outside [0,%d)", i, len(sx.shards))
+	}
+	v := &ShardedIndex{
+		grid:    sx.grid,
+		shards:  sx.shards[i : i+1],
+		origin:  sx.origin[i : i+1],
+		lo:      sx.lo[i : i+1],
+		hi:      sx.hi[i : i+1],
+		offset:  sx.offset[i : i+2],
+		pager:   sx.pager,
+		points:  sx.points,
+		par:     sx.par,
+		lc:      sx.lc,
+		closeFn: sx.Close,
+	}
+	v.initCore()
+	return v, nil
 }
 
 // PointSet reports whether the index covers an explicit point set (true)
@@ -358,8 +378,9 @@ func (sx *ShardedIndex) ShardOrigin(i int) []int {
 // a partition.
 func (sx *ShardedIndex) PointSet() bool { return sx.points }
 
-// N returns the total number of indexed points across all shards.
-func (sx *ShardedIndex) N() int { return sx.offset[len(sx.shards)] }
+// N returns the number of indexed points across all shards — for a Scope
+// view, the size of its shard's rank block.
+func (sx *ShardedIndex) N() int { return sx.offset[len(sx.shards)] - sx.offset[0] }
 
 // Dims returns the per-dimension side lengths of the global grid (for
 // point-set indexes, the bounding box of all points).
@@ -376,7 +397,8 @@ func (sx *ShardedIndex) NumPages() int { return sx.pager.NumPages() }
 
 // Rank returns the global 1-D position of the point with the given
 // coordinates: the owning shard's local rank plus the shard's rank offset.
-// Errors mirror Index.Rank. Like Index.Rank it allocates nothing on
+// Errors mirror Index.Rank; a Scope view answers ErrPointNotIndexed for a
+// point outside its shard. Like Index.Rank it allocates nothing on
 // success: the shard-local translation lives in a fixed stack buffer up to
 // 8 dimensions and error paths never leak the coords slice.
 //
@@ -430,13 +452,15 @@ func (sx *ShardedIndex) Rank(coords ...int) (int, error) {
 		}
 		return r + sx.offset[i], nil
 	}
-	// Grid shards tile the grid, so only point sets reach here.
+	// Grid shards tile the grid, so only point sets and Scope views (whose
+	// one shard covers part of the grid) reach here.
 	return 0, errPointNotIndexed(coords)
 }
 
 // Point returns the coordinates of the point at the given global rank. The
-// returned slice is freshly allocated. A rank outside [0, N) returns
-// ErrRankOutOfRange.
+// returned slice is freshly allocated. A rank outside the index's rank
+// block — [0, N) for a whole index, the shard's block for a Scope view —
+// returns ErrRankOutOfRange.
 func (sx *ShardedIndex) Point(rank int) ([]int, error) {
 	if lc := sx.lc; lc != nil {
 		if !lc.TryBorrow() {
@@ -444,8 +468,9 @@ func (sx *ShardedIndex) Point(rank int) ([]int, error) {
 		}
 		defer lc.EndBorrow()
 	}
-	if rank < 0 || rank >= sx.N() {
-		return nil, fmt.Errorf("spectrallpm: rank %d outside [0,%d): %w", rank, sx.N(), ErrRankOutOfRange)
+	first, end := sx.offset[0], sx.offset[len(sx.shards)]
+	if rank < first || rank >= end {
+		return nil, fmt.Errorf("spectrallpm: rank %d outside [%d,%d): %w", rank, first, end, ErrRankOutOfRange)
 	}
 	i := sort.SearchInts(sx.offset, rank+1) - 1
 	p, err := sx.shards[i].Point(rank - sx.offset[i])
@@ -466,26 +491,6 @@ func boundsContain(lo, hi, coords []int) bool {
 		}
 	}
 	return true
-}
-
-// validateBox mirrors Index.validateBox over the global grid: full-grid
-// sharded indexes require the box inside the grid with every side at least
-// 1; point-set sharded indexes require only the right arity.
-func (sx *ShardedIndex) validateBox(b Box) error {
-	d := sx.grid.D()
-	if len(b.Start) != d || len(b.Dims) != d {
-		return fmt.Errorf("spectrallpm: box arity %d/%d, want %d: %w", len(b.Start), len(b.Dims), d, ErrDimensionMismatch)
-	}
-	if sx.points {
-		return nil
-	}
-	dims := sx.grid.Dims()
-	for i, st := range b.Start {
-		if b.Dims[i] < 1 || st < 0 || st+b.Dims[i] > dims[i] {
-			return fmt.Errorf("spectrallpm: box %v exceeds grid %v: %w", b, dims, ErrDimensionMismatch)
-		}
-	}
-	return nil
 }
 
 // shardEngine adapts a ShardedIndex to the serving core's Engine (see
@@ -604,8 +609,9 @@ func (e shardEngine) D() int                { return e.sx.grid.D() }
 func (e shardEngine) Parallelism() int      { return e.sx.par }
 
 // initCore arms the shared serving core — the last step of finishSharded
-// on every construction path (BuildSharded, ReadSharded, OpenMappedSharded).
-// OpenMappedSharded re-arms it after attaching the shared lifecycle.
+// on every construction path (BuildSharded, ReadSharded, OpenMappedSharded)
+// and of Scope. OpenMappedSharded re-arms it after attaching the shared
+// lifecycle; a Scope view arms it over the parent's lifecycle.
 func (sx *ShardedIndex) initCore() {
 	sx.core = serve.NewCore(shardEngine{sx}, sx.lc)
 }
@@ -615,8 +621,9 @@ func (sx *ShardedIndex) initCore() {
 // Lifecycle). Like Index.Close it is safe against in-flight queries: the
 // index latches closed, new queries fail with ErrIndexClosed, and the
 // unmap waits for the last borrower — including queries issued directly
-// against a Shard(i). No-op for built or materialized indexes; idempotent
-// and goroutine-safe.
+// against a Shard(i) or a Scope view. A Scope view's Close closes its
+// parent. No-op for built or materialized indexes; idempotent and
+// goroutine-safe.
 func (sx *ShardedIndex) Close() error {
 	if sx.closeFn == nil {
 		return nil

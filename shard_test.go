@@ -265,6 +265,151 @@ func TestShardedShardBounds(t *testing.T) {
 	}
 }
 
+// scanRows collects a box query's rows as {rank, coords...}.
+func scanRows(t *testing.T, sx *spectrallpm.ShardedIndex, b spectrallpm.Box) [][]int {
+	t.Helper()
+	var rows [][]int
+	if err := sx.ScanInto(b, func(rank int, coords []int) bool {
+		rows = append(rows, append([]int{rank}, coords...))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestShardedScopeContract pins Scope against its parent: the view of
+// shard i answers exactly the parent's rows, ranks and points inside the
+// shard's rank block, refuses everything outside it, and reports the
+// block's size — over a square grid (tied axes), a rectangle, and a point
+// set whose shard bounding boxes overlap, each both built and mapped.
+func TestShardedScopeContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	seen := map[[2]int]bool{}
+	var pts [][]int
+	for len(pts) < 40 {
+		p := [2]int{rng.Intn(14), rng.Intn(14)}
+		if !seen[p] {
+			seen[p] = true
+			pts = append(pts, []int{p[0], p[1]})
+		}
+	}
+	inputs := []struct {
+		name   string
+		shards int
+		opts   []spectrallpm.BuildOption
+	}{
+		{"square", 4, []spectrallpm.BuildOption{spectrallpm.WithGrid(8, 8), spectrallpm.WithPageSize(4)}},
+		{"rect", 3, []spectrallpm.BuildOption{spectrallpm.WithGrid(12, 7), spectrallpm.WithPageSize(5)}},
+		{"points", 4, []spectrallpm.BuildOption{spectrallpm.WithPoints(pts), spectrallpm.WithPageSize(3)}},
+	}
+	for _, in := range inputs {
+		built, err := spectrallpm.BuildSharded(context.Background(), in.shards, in.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The point set must exercise overlapping shard boxes, where a
+		// point inside a view's bounds may still belong to another shard.
+		if built.PointSet() && !shardBoxesOverlap(built) {
+			t.Fatal("point-set shard boxes do not overlap; the input no longer covers that case")
+		}
+		mapped, err := spectrallpm.OpenMappedSharded(writeShardedV2File(t, built))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		for _, flavor := range []struct {
+			name string
+			sx   *spectrallpm.ShardedIndex
+		}{{"built", built}, {"mapped", mapped}} {
+			t.Run(in.name+"/"+flavor.name, func(t *testing.T) {
+				checkScope(t, flavor.sx, rng)
+			})
+		}
+	}
+}
+
+func shardBoxesOverlap(sx *spectrallpm.ShardedIndex) bool {
+	for i := 0; i < sx.NumShards(); i++ {
+		for j := i + 1; j < sx.NumShards(); j++ {
+			li, hi, _, _ := sx.ShardBounds(i)
+			lj, hj, _, _ := sx.ShardBounds(j)
+			if li[0] <= hj[0] && lj[0] <= hi[0] && li[1] <= hj[1] && lj[1] <= hi[1] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// checkScope compares every Scope view of sx with sx itself.
+func checkScope(t *testing.T, sx *spectrallpm.ShardedIndex, rng *rand.Rand) {
+	S := sx.NumShards()
+	for _, i := range []int{-1, S} {
+		if _, err := sx.Scope(i); err == nil {
+			t.Fatalf("Scope(%d) of %d shards accepted", i, S)
+		}
+	}
+	dims := sx.Dims()
+	boxes := []spectrallpm.Box{{Start: []int{0, 0}, Dims: dims}}
+	for len(boxes) < 12 {
+		b := spectrallpm.Box{Start: make([]int, 2), Dims: make([]int, 2)}
+		for j, side := range dims {
+			b.Start[j] = rng.Intn(side)
+			b.Dims[j] = 1 + rng.Intn(side-b.Start[j])
+		}
+		boxes = append(boxes, b)
+	}
+	views := make([]*spectrallpm.ShardedIndex, S)
+	for i := range views {
+		v, err := sx.Scope(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = v
+		_, _, off, recs := sx.ShardBounds(i)
+		if v.N() != recs {
+			t.Fatalf("shard %d: N = %d, want block size %d", i, v.N(), recs)
+		}
+		for r := 0; r < sx.N(); r++ {
+			p, err := sx.Point(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r < off || r >= off+recs {
+				if _, err := v.Point(r); !errors.Is(err, spectrallpm.ErrRankOutOfRange) {
+					t.Fatalf("shard %d: foreign rank %d err = %v", i, r, err)
+				}
+				if _, err := v.Rank(p...); !errors.Is(err, spectrallpm.ErrPointNotIndexed) {
+					t.Fatalf("shard %d: foreign point %v err = %v", i, p, err)
+				}
+				continue
+			}
+			vp, err := v.Point(r)
+			if err != nil || !slices.Equal(vp, p) {
+				t.Fatalf("shard %d: Point(%d) = %v, %v; parent %v", i, r, vp, err, p)
+			}
+			if vr, err := v.Rank(p...); err != nil || vr != r {
+				t.Fatalf("shard %d: Rank(%v) = %d, %v; want %d", i, p, vr, err, r)
+			}
+		}
+		for _, r := range []int{-1, sx.N()} {
+			if _, err := v.Point(r); !errors.Is(err, spectrallpm.ErrRankOutOfRange) {
+				t.Fatalf("shard %d: rank %d err = %v", i, r, err)
+			}
+		}
+	}
+	for _, b := range boxes {
+		var got [][]int
+		for _, v := range views {
+			got = append(got, scanRows(t, v, b)...)
+		}
+		if want := scanRows(t, sx, b); !slices.EqualFunc(got, want, slices.Equal[[]int]) {
+			t.Fatalf("box %v: scoped rows\n%v\nparent rows\n%v", b, got, want)
+		}
+	}
+}
+
 // TestShardedEarlyStopAndErrors covers the serving edge cases: stopping a
 // scan mid-stream, invalid boxes, and out-of-range lookups.
 func TestShardedEarlyStopAndErrors(t *testing.T) {
