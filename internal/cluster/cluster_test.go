@@ -722,41 +722,77 @@ func TestMergeRunsAndStats(t *testing.T) {
 	}
 }
 
-// TestTornReplyRejected feeds the validator torn and cross-wired replies;
-// none may pass.
+// TestTornReplyRejected feeds the reply scanner raw torn, cross-wired
+// and malformed worker replies; none may pass. Shard 0 of the geometry
+// owns ranks [0,4) inside x∈[0,1], y∈[0,3], over 2 pages of rank space.
 func TestTornReplyRejected(t *testing.T) {
-	g := &geometry{
-		d: 2, total: 8, rpp: 4, numPages: 2,
-		lo:      [][]int{{0, 0}, {2, 0}},
-		hi:      [][]int{{1, 3}, {3, 3}},
-		offset:  []int{0, 4},
-		records: []int{4, 4},
-	}
+	g := tornGeometry()
 	cases := []struct {
 		name string
-		rep  boxReply
+		kind byte
+		body string
 	}{
-		{"count_mismatch", boxReply{Count: 2, Results: [][]int{{0, 0, 0}}}},
-		{"row_arity", boxReply{Count: 1, Results: [][]int{{0, 0}}}},
-		{"foreign_rank", boxReply{Count: 1, Results: [][]int{{5, 0, 0}}}},
-		{"unordered", boxReply{Count: 2, Results: [][]int{{1, 0, 0}, {0, 0, 1}}}},
-		{"duplicate", boxReply{Count: 2, Results: [][]int{{1, 0, 0}, {1, 0, 1}}}},
-		{"coords_outside_shard", boxReply{Count: 1, Results: [][]int{{0, 3, 0}}}},
+		{"count_mismatch", 'b', `{"count":2,"results":[[0,0,0]]}`},
+		{"row_arity", 'b', `{"count":1,"results":[[0,0]]}`},
+		{"foreign_rank", 'b', `{"count":1,"results":[[5,0,0]]}`},
+		{"unordered", 'b', `{"count":2,"results":[[1,0,0],[0,0,1]]}`},
+		{"duplicate", 'b', `{"count":2,"results":[[1,0,0],[1,0,1]]}`},
+		{"coords_outside_shard", 'b', `{"count":1,"results":[[0,3,0]]}`},
+		{"overlapping_runs", 'p', `{"runs":[[0,2],[1,1]]}`},
+		{"run_past_num_pages", 'p', `{"runs":[[0,5]]}`},
+
+		{"truncated_mid_row", 'b', `{"count":2,"results":[[0,0,0],[3,1`},
+		{"trailing_garbage", 'b', `{"count":1,"results":[[0,0,0]]}x`},
+		{"missing_results", 'b', `{"count":0}`},
+		{"missing_count", 'b', `{"results":[]}`},
+		{"fraction", 'b', `{"count":1,"results":[[1.5,0,0]]}`},
+		{"exponent", 'b', `{"count":1,"results":[[0,1e3,0]]}`},
+		{"leading_zero", 'b', `{"count":1,"results":[[01,0,0]]}`},
+		{"25_digits", 'b', `{"count":1,"results":[[1234567890123456789012345,0,0]]}`},
+		{"duplicate_key", 'b', `{"count":1,"count":1,"results":[[0,0,0]]}`},
+		{"unknown_key", 'b', `{"count":1,"results":[[0,0,0]],"shard":0}`},
+		{"pages_truncated", 'p', `{"runs":[[0,1]`},
+		{"pages_unknown_key", 'p', `{"runs":[],"count":0}`},
+		{"rank_foreign", 'r', `{"rank":5}`},
+		{"rank_string", 'r', `{"rank":"1"}`},
+		{"rank_truncated", 'r', `{"rank":1`},
+		{"rank_duplicate_key", 'r', `{"rank":1,"rank":1}`},
+		{"point_arity_short", 'c', `{"coords":[0]}`},
+		{"point_arity_long", 'c', `{"coords":[0,0,0]}`},
+		{"point_outside_shard", 'c', `{"coords":[2,0]}`},
+		{"point_missing", 'c', `{}`},
 	}
 	for _, tc := range cases {
-		if err := g.validateBoxReply(0, &tc.rep); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if got, err := parseReply(g, tc.kind, 0, []byte(tc.body)); err == nil {
+			t.Errorf("%s: accepted %q as %+v", tc.name, tc.body, got)
 		}
 	}
-	good := boxReply{Count: 2, Results: [][]int{{0, 0, 0}, {3, 1, 3}}}
-	if err := g.validateBoxReply(0, &good); err != nil {
-		t.Errorf("good reply rejected: %v", err)
+
+	accepted := []struct {
+		name string
+		kind byte
+		body string
+		want parsedReply
+	}{
+		{"box", 'b', `{"count":2,"results":[[0,0,0],[3,1,3]]}`,
+			parsedReply{ranks: []int{0, 3}, coords: []int{0, 0, 1, 3}}},
+		{"box_spaced_results_first", 'b', " { \"results\" : [ [0, 0,0] ,\n[3,1,3] ] ,\t\"count\" : 2 }\r\n",
+			parsedReply{ranks: []int{0, 3}, coords: []int{0, 0, 1, 3}}},
+		{"box_empty", 'b', `{"count":0,"results":[]}`, parsedReply{}},
+		{"pages", 'p', `{"runs":[[0,1],[1,1]]}`,
+			parsedReply{runs: []spectrallpm.PageRun{{Start: 0, Pages: 1}, {Start: 1, Pages: 1}}}},
+		{"rank", 'r', `{"rank":3}`, parsedReply{scalar: 3}},
+		{"point", 'c', `{"coords":[1,3]}`, parsedReply{coords: []int{1, 3}}},
 	}
-	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{0, 2}, {1, 1}}}); err == nil {
-		t.Error("overlapping page runs accepted")
-	}
-	if err := g.validatePagesReply(0, &pagesReply{Runs: [][]int{{0, 5}}}); err == nil {
-		t.Error("run past numPages accepted")
+	for _, tc := range accepted {
+		got, err := parseReply(g, tc.kind, 0, []byte(tc.body))
+		if err != nil {
+			t.Errorf("%s: rejected %q: %v", tc.name, tc.body, err)
+			continue
+		}
+		if !got.equal(tc.want) {
+			t.Errorf("%s: parsed %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ type geometry struct {
 // fetchShardInfo asks shard s's replica set for its self-description,
 // through the same retry/hedge/health machinery as queries.
 func (rt *Router) fetchShardInfo(ctx context.Context, s int) (*shardInfo, error) {
-	data, status, err := rt.fetch(ctx, s, "/v1/shardinfo", nil)
+	data, status, err := rt.fetch(ctx, s, "/v1/shardinfo", nil, smallReplyLimit)
 	if err != nil {
 		return nil, err
 	}

@@ -90,7 +90,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 				continue
 			}
 			pctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-			_, status, err := rt.do(pctx, rep, "/healthz", nil)
+			_, status, err := rt.do(pctx, rep, "/healthz", nil, smallReplyLimit)
 			cancel()
 			if err == nil && status == http.StatusOK {
 				rep.succeed(rt)

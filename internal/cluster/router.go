@@ -16,8 +16,11 @@
 //   - rank/point (scalar answers): routed to the shard that owns the
 //     coordinates or the rank block; a scalar cannot be partially
 //     correct, so an unreachable owner is always an error.
-//   - every per-shard reply is validated against the shard's declared
-//     rank block and bounding box before it may enter a merge; a torn or
+//   - every per-shard reply is read up to a size limit (a box reply's is
+//     the shard's whole record set, at most 20 digits per integer) and
+//     parsed by one strict, allocation-free scanner (reply.go) that checks
+//     it against the shard's declared rank block, bounding box and page
+//     count in the same pass; an oversized, torn, malformed or
 //     cross-wired reply is discarded as a replica failure, never merged.
 package cluster
 
@@ -33,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -205,11 +209,33 @@ func (rt *Router) Ready() bool { return rt.geo.Load() != nil }
 
 // --- transport: one attempt, hedged attempt, retry loop ---
 
+// smallReplyLimit bounds every worker reply but box and pages replies: a
+// rank, a point, a shard description, a health answer or an error line.
+const smallReplyLimit = 64 << 10
+
+// intWidth is the widest decimal int on the wire, "-9223372036854775808",
+// plus the separator after it.
+const intWidth = 21
+
+// boxReplyLimit bounds shard s's box reply by the largest honest one:
+// every record of the shard as a row of 1+d integers.
+func (g *geometry) boxReplyLimit(s int) int64 {
+	return smallReplyLimit + int64(g.records[s])*(int64(1+g.d)*intWidth+2)
+}
+
+// pagesReplyLimit bounds a pages reply by the largest honest one: one run
+// per page of the rank space.
+func (g *geometry) pagesReplyLimit() int64 {
+	return smallReplyLimit + int64(g.numPages)*(2*intWidth+2)
+}
+
 // do performs one HTTP exchange with one replica: GET when body is nil,
-// POST otherwise, bounded by ctx, body fully read. The router.dial fault
-// point fires before the request leaves, so chaos tests can fail or stall
-// individual dials on the fan-out path.
-func (rt *Router) do(ctx context.Context, rep *replica, path string, body []byte) ([]byte, int, error) {
+// POST otherwise, bounded by ctx, body fully read. A reply longer than
+// limit bytes is an error, so a faulty worker cannot make the router
+// buffer an endless body. The router.dial fault point fires before the
+// request leaves, so chaos tests can fail or stall individual dials on
+// the fan-out path.
+func (rt *Router) do(ctx context.Context, rep *replica, path string, body []byte, limit int64) ([]byte, int, error) {
 	faultinject.Fire(faultinject.PointRouterDial)
 	method := http.MethodGet
 	var rd io.Reader
@@ -225,14 +251,33 @@ func (rt *Router) do(ctx context.Context, rep *replica, path string, body []byte
 	if err != nil {
 		return nil, 0, err
 	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := readReply(resp, limit)
 	resp.Body.Close()
 	if err != nil {
-		// A connection severed mid-body (worker killed mid-write) lands
-		// here: the reply never reaches a merge.
-		return nil, 0, err
+		// A connection severed mid-body (worker killed mid-write) or an
+		// oversized reply lands here: the reply never reaches a merge.
+		return nil, 0, fmt.Errorf("cluster: replica %s: %w", rep.addr, err)
 	}
 	return data, resp.StatusCode, nil
+}
+
+// readReply reads resp's body, failing once it exceeds limit bytes. A
+// declared Content-Length sizes the buffer exactly (the transport holds
+// the body to it); a chunked body is read through a limit.
+func readReply(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("reply of %d bytes exceeds the %d-byte limit", resp.ContentLength, limit)
+	}
+	if resp.ContentLength >= 0 {
+		data := make([]byte, resp.ContentLength)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		err = fmt.Errorf("reply exceeds the %d-byte limit", limit)
+	}
+	return data, err
 }
 
 // attemptResult is one replica's answer inside a hedged attempt.
@@ -248,13 +293,13 @@ type attemptResult struct {
 // First success wins; the shared attempt context is canceled on return,
 // aborting the loser. Failures (transport errors and 5xx) mark the
 // replica; a canceled loser marks nothing.
-func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, path string, body []byte) ([]byte, int, error) {
+func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, path string, body []byte, limit int64) ([]byte, int, error) {
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
 	ch := make(chan attemptResult, 2) // buffered: a canceled loser's send never blocks
 	launch := func(rep *replica) {
 		go func() {
-			data, status, err := rt.do(actx, rep, path, body)
+			data, status, err := rt.do(actx, rep, path, body, limit)
 			ch <- attemptResult{rep, data, status, err}
 		}()
 	}
@@ -305,7 +350,7 @@ func (rt *Router) attemptHedged(ctx context.Context, primary, backup *replica, p
 // exponential backoff. 2xx–4xx statuses return to the caller (the workers
 // validate with the same rules the router does, so a 4xx is the client's
 // to see); transport errors and 5xx burn the attempt.
-func (rt *Router) fetch(ctx context.Context, s int, path string, body []byte) ([]byte, int, error) {
+func (rt *Router) fetch(ctx context.Context, s int, path string, body []byte, limit int64) ([]byte, int, error) {
 	ss := rt.shards[s]
 	reps := ss.order(make([]*replica, 0, len(ss.replicas)))
 	var lastErr error
@@ -321,7 +366,7 @@ func (rt *Router) fetch(ctx context.Context, s int, path string, body []byte) ([
 		if len(reps) > 1 {
 			backup = reps[(attempt+1)%len(reps)]
 		}
-		data, status, err := rt.attemptHedged(ctx, primary, backup, path, body)
+		data, status, err := rt.attemptHedged(ctx, primary, backup, path, body, limit)
 		if err == nil {
 			return data, status, nil
 		}
@@ -362,68 +407,6 @@ func (rt *Router) rand64() uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// --- per-shard reply parsing and torn-reply validation ---
-
-// boxReply is the wire form of a worker's POST /v1/box answer.
-type boxReply struct {
-	Count   int     `json:"count"`
-	Results [][]int `json:"results"`
-}
-
-// pagesReply is the wire form of a worker's POST /v1/pages answer.
-type pagesReply struct {
-	Runs [][]int `json:"runs"`
-}
-
-// validateBoxReply rejects a reply that cannot be shard s's honest
-// answer: a count/row mismatch, a malformed row, a rank outside the
-// shard's declared block, out-of-order ranks, or coordinates outside the
-// shard's bounding box. This is the torn-response defense: a worker
-// killed mid-write, or a topology wired to the wrong worker, costs
-// availability (the reply is treated as a failed attempt) but can never
-// place a wrong row into a merge.
-func (g *geometry) validateBoxReply(s int, rep *boxReply) error {
-	if rep.Count != len(rep.Results) {
-		return fmt.Errorf("cluster: shard %d reply declares %d rows, carries %d", s, rep.Count, len(rep.Results))
-	}
-	lo, hi := g.offset[s], g.offset[s]+g.records[s]
-	prev := -1
-	for _, row := range rep.Results {
-		if len(row) != 1+g.d {
-			return fmt.Errorf("cluster: shard %d reply row arity %d, want %d", s, len(row), 1+g.d)
-		}
-		r := row[0]
-		if r < lo || r >= hi {
-			return fmt.Errorf("cluster: shard %d reply rank %d outside its block [%d,%d)", s, r, lo, hi)
-		}
-		if r <= prev {
-			return fmt.Errorf("cluster: shard %d reply ranks out of order (%d after %d)", s, r, prev)
-		}
-		prev = r
-		for j, c := range row[1:] {
-			if c < g.lo[s][j] || c > g.hi[s][j] {
-				return fmt.Errorf("cluster: shard %d reply coordinate %v outside shard bounds", s, row[1:])
-			}
-		}
-	}
-	return nil
-}
-
-// validatePagesReply rejects malformed or unordered run lists.
-func (g *geometry) validatePagesReply(s int, rep *pagesReply) error {
-	prevEnd := -1
-	for _, run := range rep.Runs {
-		if len(run) != 2 || run[1] < 1 || run[0] < 0 || run[0]+run[1] > g.numPages {
-			return fmt.Errorf("cluster: shard %d reply run %v outside [0,%d) pages", s, run, g.numPages)
-		}
-		if run[0] <= prevEnd {
-			return fmt.Errorf("cluster: shard %d reply runs out of order", s)
-		}
-		prevEnd = run[0] + run[1] - 1
-	}
-	return nil
 }
 
 // --- fan-out planning and merging ---
@@ -486,7 +469,7 @@ func fanOut(parts []*boxPart, fn func(p *boxPart)) {
 // ranks and coordinates.
 func (rt *Router) fetchBoxPart(ctx context.Context, g *geometry, p *boxPart) {
 	body := appendBoxBody(nil, p.start, p.dims)
-	data, status, err := rt.fetch(ctx, p.shard, "/v1/box", body)
+	data, status, err := rt.fetch(ctx, p.shard, "/v1/box", body, g.boxReplyLimit(p.shard))
 	if err != nil {
 		p.err = err
 		return
@@ -495,28 +478,14 @@ func (rt *Router) fetchBoxPart(ctx context.Context, g *geometry, p *boxPart) {
 		p.err = fmt.Errorf("cluster: shard %d answered status %d: %s", p.shard, status, bytes.TrimSpace(data))
 		return
 	}
-	var rep boxReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		p.err = fmt.Errorf("cluster: shard %d reply: %w", p.shard, err)
-		return
-	}
-	if err := g.validateBoxReply(p.shard, &rep); err != nil {
-		p.err = err
-		return
-	}
-	p.ranks = make([]int, len(rep.Results))
-	p.coords = make([]int, 0, len(rep.Results)*g.d)
-	for i, row := range rep.Results {
-		p.ranks[i] = row[0]
-		p.coords = append(p.coords, row[1:]...)
-	}
+	p.err = g.parseBoxReply(p.shard, data, p)
 }
 
 // fetchPagesPart resolves one shard's slice of a pages query into a
 // validated run list.
 func (rt *Router) fetchPagesPart(ctx context.Context, g *geometry, p *boxPart) {
 	body := appendBoxBody(nil, p.start, p.dims)
-	data, status, err := rt.fetch(ctx, p.shard, "/v1/pages", body)
+	data, status, err := rt.fetch(ctx, p.shard, "/v1/pages", body, g.pagesReplyLimit())
 	if err != nil {
 		p.err = err
 		return
@@ -525,19 +494,7 @@ func (rt *Router) fetchPagesPart(ctx context.Context, g *geometry, p *boxPart) {
 		p.err = fmt.Errorf("cluster: shard %d answered status %d: %s", p.shard, status, bytes.TrimSpace(data))
 		return
 	}
-	var rep pagesReply
-	if err := json.Unmarshal(data, &rep); err != nil {
-		p.err = fmt.Errorf("cluster: shard %d reply: %w", p.shard, err)
-		return
-	}
-	if err := g.validatePagesReply(p.shard, &rep); err != nil {
-		p.err = err
-		return
-	}
-	p.runs = make([]spectrallpm.PageRun, len(rep.Runs))
-	for i, run := range rep.Runs {
-		p.runs[i] = spectrallpm.PageRun{Start: run[0], Pages: run[1]}
-	}
+	p.err = g.parsePagesReply(p.shard, data, p)
 }
 
 // splitParts separates succeeded parts from failed ones, returning the
@@ -649,7 +606,7 @@ func writeUpstreamError(w http.ResponseWriter, err error) {
 // finish emits a fully built response buffer in one Write.
 func finish(w http.ResponseWriter, buf []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", fmt.Sprint(len(buf)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.Write(buf)
 }
 
@@ -826,7 +783,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		asked = true
-		data, status, err := rt.fetch(ctx, s, "/v1/rank", body)
+		data, status, err := rt.fetch(ctx, s, "/v1/rank", body, smallReplyLimit)
 		if err != nil {
 			lastErr = err
 			if !g.points {
@@ -841,7 +798,7 @@ func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
 			relay(w, status, data)
 			return
 		}
-		rank, err := parseRankReply(g, s, data)
+		rank, err := g.parseRankReply(s, data)
 		if err != nil {
 			writeUpstreamError(w, err)
 			return
@@ -883,7 +840,7 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 	}
 	s := g.owner(req.Rank)
 	body := appendRankBody(nil, req.Rank)
-	data, status, err := rt.fetch(ctx, s, "/v1/point", body)
+	data, status, err := rt.fetch(ctx, s, "/v1/point", body, smallReplyLimit)
 	if err != nil {
 		writeUpstreamError(w, err)
 		return
@@ -892,14 +849,14 @@ func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
 		relay(w, status, data)
 		return
 	}
-	coords, err := parsePointReply(g, s, data)
+	ps := server.GetProto()
+	defer ps.Put()
+	ps.Coords, err = g.parsePointReply(s, data, ps.Coords[:0])
 	if err != nil {
 		writeUpstreamError(w, err)
 		return
 	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Buf = server.AppendPointResponse(ps.Buf, coords)
+	ps.Buf = server.AppendPointResponse(ps.Buf, ps.Coords)
 	finish(w, ps.Buf)
 }
 
@@ -922,41 +879,6 @@ func appendRankBody(b []byte, rank int) []byte {
 	b = append(b, `{"rank":`...)
 	b = server.AppendInt(b, rank)
 	return append(b, '}')
-}
-
-// parseRankReply validates a worker's {"rank":N} against the shard's
-// declared block before trusting it.
-func parseRankReply(g *geometry, s int, data []byte) (int, error) {
-	var rep struct {
-		Rank int `json:"rank"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, fmt.Errorf("cluster: shard %d rank reply: %w", s, err)
-	}
-	if rep.Rank < g.offset[s] || rep.Rank >= g.offset[s]+g.records[s] {
-		return 0, fmt.Errorf("cluster: shard %d rank reply %d outside its block [%d,%d)", s, rep.Rank, g.offset[s], g.offset[s]+g.records[s])
-	}
-	return rep.Rank, nil
-}
-
-// parsePointReply validates a worker's {"coords":[...]} against the
-// shard's declared bounding box before trusting it.
-func parsePointReply(g *geometry, s int, data []byte) ([]int, error) {
-	var rep struct {
-		Coords []int `json:"coords"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("cluster: shard %d point reply: %w", s, err)
-	}
-	if len(rep.Coords) != g.d {
-		return nil, fmt.Errorf("cluster: shard %d point reply arity %d, want %d", s, len(rep.Coords), g.d)
-	}
-	for j, c := range rep.Coords {
-		if c < g.lo[s][j] || c > g.hi[s][j] {
-			return nil, fmt.Errorf("cluster: shard %d point reply %v outside shard bounds", s, rep.Coords)
-		}
-	}
-	return rep.Coords, nil
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
