@@ -668,6 +668,26 @@ func (ix *Index) Point(rank int) ([]int, error) {
 	return append([]int(nil), ix.pts[ix.vert[rank]]...), nil
 }
 
+// RankContext is Rank for a caller with a deadline: it returns ctx's error
+// if ctx is already done, else Rank's answer.
+//
+//lpm:allocfree
+func (ix *Index) RankContext(ctx context.Context, coords ...int) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return ix.Rank(coords...)
+}
+
+// PointContext is Point for a caller with a deadline: it returns ctx's
+// error if ctx is already done, else Point's answer.
+func (ix *Index) PointContext(ctx context.Context, rank int) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return ix.Point(rank)
+}
+
 // RankBatch appends the ranks of the given points to dst (which may be nil
 // or a slice being reused across calls to amortize allocation) and returns
 // the extended slice. The first bad point aborts the batch with the same

@@ -46,6 +46,9 @@ type geometry struct {
 	lo, hi  [][]int
 	offset  []int
 	records []int
+	// blockOrder lists the shard ids by rank offset, so parts planned in
+	// this order concatenate into global rank order.
+	blockOrder []int
 }
 
 // fetchShardInfo asks shard s's replica set for its self-description,
@@ -144,6 +147,7 @@ func buildGeometry(infos []*shardInfo) (*geometry, error) {
 		order[i] = i
 	}
 	sort.Slice(order, func(i, j int) bool { return g.offset[order[i]] < g.offset[order[j]] })
+	g.blockOrder = order
 	at := 0
 	for _, s := range order {
 		if g.offset[s] != at {

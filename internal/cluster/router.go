@@ -3,8 +3,13 @@
 // workers, and turns every query into a per-shard plan (ClipBox against
 // each shard's bounds), a replicated network fan-out (per-attempt
 // timeouts, hedged reads, jittered-backoff retries, health-aware replica
-// rotation), and a k-way rank merge (storage.MergeSortedAppend) encoded
-// through the same pooled protocol layer the single-node daemon uses.
+// rotation), and a merge in global rank order. It serves through
+// server.Server, the spine the daemon and the workers use: routerView
+// presents the remote shards as a server.Queryable, so the router has the
+// daemon's request decoding, bounded admission (429 + Retry-After),
+// deadlines (504, including before any fan-out), error mapping, single
+// buffered write and drain. The router adds only its own /healthz and
+// /stats.
 //
 // Failure semantics, per endpoint class:
 //
@@ -15,7 +20,8 @@
 //     present — with the unreachable shard ids in "shards_missing".
 //   - rank/point (scalar answers): routed to the shard that owns the
 //     coordinates or the rank block; a scalar cannot be partially
-//     correct, so an unreachable owner is always an error.
+//     correct, so an unreachable owner is always an error. A worker's 4xx
+//     becomes the library error the daemon would have returned.
 //   - every per-shard reply is read up to a size limit (a box reply's is
 //     the shard's whole record set, at most 20 digits per integer) and
 //     parsed by one strict, allocation-free scanner (reply.go) that checks
@@ -28,25 +34,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
 	"github.com/spectral-lpm/spectrallpm/internal/server"
 	"github.com/spectral-lpm/spectrallpm/internal/server/faultinject"
 	"github.com/spectral-lpm/spectrallpm/internal/shard"
-	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
 
 // RouterConfig carries the router's tunables. The zero value of any field
@@ -124,12 +125,6 @@ func (c *RouterConfig) fillDefaults() error {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Second
 	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "lpmserve-router: "+format+"\n", args...)
@@ -139,7 +134,8 @@ func (c *RouterConfig) fillDefaults() error {
 }
 
 // Router is the cluster front end. Create with NewRouter, serve with Run
-// (or wire Handler into a test server), stop with Shutdown.
+// (or wire Handler into a test server), stop with Shutdown. Admission runs
+// at the server.Config defaults.
 type Router struct {
 	cfg    RouterConfig
 	shards []*shardState
@@ -150,9 +146,8 @@ type Router struct {
 	geo   atomic.Pointer[geometry]
 	infos []*shardInfo
 
-	client   *http.Client
-	draining atomic.Bool
-	rng      atomic.Uint64 // splitmix64 state for backoff jitter
+	client *http.Client
+	rng    atomic.Uint64 // splitmix64 state for backoff jitter
 
 	// Counters for /stats (monotonic).
 	hedges         atomic.Int64 // hedged second requests launched
@@ -161,15 +156,17 @@ type Router struct {
 	reinstatements atomic.Int64 // replicas reinstated
 	partials       atomic.Int64 // responses answered with shards_missing
 
-	mux  *http.ServeMux
-	http *http.Server
-	ln   net.Listener
+	srv   *server.Server // serves routerView; owns the listener and the drain
+	front http.Handler   // /healthz and /stats; everything else goes to srv
 }
 
 // NewRouter validates the topology and assembles the router. The returned
 // router has not handshaken with the workers yet: geometry completes
 // lazily on the first request (or via ProbeOnce / the Run probe loop),
 // and the router answers 503 until it does.
+//
+// A SIGHUP to Run re-opens the view, which re-reads nothing: the topology
+// is fixed for the router's lifetime and the geometry is the workers'.
 func NewRouter(cfg RouterConfig) (*Router, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -191,9 +188,33 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		rt.shards[s] = ss
 	}
-	rt.mux = http.NewServeMux()
-	rt.routes()
-	rt.http = &http.Server{Handler: rt.mux}
+	srv, err := server.New(server.Config{
+		IndexPath:      fmt.Sprintf("%d routed shards", len(byShard)),
+		Addr:           cfg.Addr,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		DrainTimeout:   cfg.DrainTimeout,
+		Logf:           cfg.Logf,
+		Open:           func(string) (server.Queryable, error) { return routerView{rt}, nil },
+	})
+	if err != nil {
+		return nil, err
+	}
+	rt.srv = srv
+	rt.front = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet || r.Method == http.MethodHead {
+			switch r.URL.Path {
+			case "/healthz":
+				rt.handleHealthz(w, r)
+				return
+			case "/stats":
+				rt.handleStats(w, r)
+				return
+			}
+		}
+		srv.Handler().ServeHTTP(w, r)
+	})
+	srv.SetHandler(rt.front)
 	return rt, nil
 }
 
@@ -202,7 +223,7 @@ func (rt *Router) NumShards() int { return len(rt.shards) }
 
 // Handler returns the router's HTTP handler for tests and benchmarks that
 // bring their own listener.
-func (rt *Router) Handler() http.Handler { return rt.mux }
+func (rt *Router) Handler() http.Handler { return rt.front }
 
 // Ready reports whether the geometry handshake has completed.
 func (rt *Router) Ready() bool { return rt.geo.Load() != nil }
@@ -423,12 +444,13 @@ type boxPart struct {
 }
 
 // planParts clips the box against every shard's bounds, returning one
-// part per intersecting shard. Grid shards tile the domain so parts are
-// disjoint; point-set shard boxes may overlap, which is fine — each
-// worker returns only its own points, and rank blocks stay disjoint.
+// part per intersecting shard, in rank-block order. Grid shards tile the
+// domain so parts are disjoint; point-set shard boxes may overlap, which
+// is fine — each worker returns only its own points, and rank blocks stay
+// disjoint.
 func (g *geometry) planParts(start, dims []int) []*boxPart {
 	parts := make([]*boxPart, 0, len(g.offset))
-	for s := range g.offset {
+	for _, s := range g.blockOrder {
 		cs, cd := make([]int, g.d), make([]int, g.d)
 		if !shard.ClipBox(start, dims, g.lo[s], g.hi[s], cs, cd) {
 			continue
@@ -465,59 +487,29 @@ func fanOut(parts []*boxPart, fn func(p *boxPart)) {
 	wg.Wait()
 }
 
-// fetchBoxPart resolves one shard's slice of a box query into validated
-// ranks and coordinates.
-func (rt *Router) fetchBoxPart(ctx context.Context, g *geometry, p *boxPart) {
-	body := appendBoxBody(nil, p.start, p.dims)
-	data, status, err := rt.fetch(ctx, p.shard, "/v1/box", body, g.boxReplyLimit(p.shard))
-	if err != nil {
+// fetchPart resolves one shard's slice of a box query into a validated
+// part: its rows when rows is set, else its page runs.
+func (rt *Router) fetchPart(ctx context.Context, g *geometry, p *boxPart, rows bool) {
+	path, limit := "/v1/pages", g.pagesReplyLimit()
+	if rows {
+		path, limit = "/v1/box", g.boxReplyLimit(p.shard)
+	}
+	data, status, err := rt.fetch(ctx, p.shard, path, appendBoxBody(nil, p.start, p.dims), limit)
+	switch {
+	case err != nil:
 		p.err = err
-		return
-	}
-	if status != http.StatusOK {
+	case status != http.StatusOK:
 		p.err = fmt.Errorf("cluster: shard %d answered status %d: %s", p.shard, status, bytes.TrimSpace(data))
-		return
+	case rows:
+		p.err = g.parseBoxReply(p.shard, data, p)
+	default:
+		p.err = g.parsePagesReply(p.shard, data, p)
 	}
-	p.err = g.parseBoxReply(p.shard, data, p)
 }
 
-// fetchPagesPart resolves one shard's slice of a pages query into a
-// validated run list.
-func (rt *Router) fetchPagesPart(ctx context.Context, g *geometry, p *boxPart) {
-	body := appendBoxBody(nil, p.start, p.dims)
-	data, status, err := rt.fetch(ctx, p.shard, "/v1/pages", body, g.pagesReplyLimit())
-	if err != nil {
-		p.err = err
-		return
-	}
-	if status != http.StatusOK {
-		p.err = fmt.Errorf("cluster: shard %d answered status %d: %s", p.shard, status, bytes.TrimSpace(data))
-		return
-	}
-	p.err = g.parsePagesReply(p.shard, data, p)
-}
-
-// splitParts separates succeeded parts from failed ones, returning the
-// sorted shard ids of the failures.
-func splitParts(parts []*boxPart) (ok []*boxPart, missing []int, firstErr error) {
-	ok = parts[:0]
-	for _, p := range parts {
-		if p.err != nil {
-			missing = append(missing, p.shard)
-			if firstErr == nil {
-				firstErr = p.err
-			}
-			continue
-		}
-		ok = append(ok, p)
-	}
-	sort.Ints(missing)
-	return ok, missing, firstErr
-}
-
-// mergeRuns coalesces per-shard page-run plans into the global plan:
-// runs sorted by start page, adjacent or overlapping runs fused
-// (next.Start <= cur.End+1, end extends to the max) — exactly the
+// mergeRuns appends to dst the global plan the per-shard page-run plans
+// coalesce into: runs sorted by start page, adjacent or overlapping runs
+// fused (next.Start <= cur.End+1, end extends to the max) — exactly the
 // adjacency rule Pager.RunsAppend uses, so the merged plan matches what
 // the monolithic index would have planned. Shard rank blocks can split
 // mid-page, so two shards may both touch a boundary page; the overlap
@@ -528,14 +520,13 @@ func mergeRuns(dst []spectrallpm.PageRun, parts []*boxPart) []spectrallpm.PageRu
 		total += len(p.runs)
 	}
 	if total == 0 {
-		return dst[:0]
+		return dst
 	}
 	all := make([]spectrallpm.PageRun, 0, total)
 	for _, p := range parts {
 		all = append(all, p.runs...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Start < all[j].Start })
-	dst = dst[:0]
 	cur := all[0]
 	for _, r := range all[1:] {
 		curEnd := cur.Start + cur.Pages - 1
@@ -567,306 +558,55 @@ func statsFromRuns(runs []spectrallpm.PageRun) spectrallpm.IOStats {
 	return st
 }
 
-// --- HTTP front ---
-
-func (rt *Router) routes() {
-	rt.mux.HandleFunc("POST /v1/rank", rt.handleRank)
-	rt.mux.HandleFunc("POST /v1/point", rt.handlePoint)
-	rt.mux.HandleFunc("POST /v1/box", rt.handleBox)
-	rt.mux.HandleFunc("POST /v1/pages", rt.handlePages)
-	rt.mux.HandleFunc("POST /v1/batch", rt.handleBatch)
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /stats", rt.handleStats)
-}
-
-// begin derives the request deadline and resolves the geometry, answering
-// 503 (and returning nil) while the handshake is incomplete: without a
-// validated frame the router cannot even tell a bad box from a good one.
-func (rt *Router) begin(w http.ResponseWriter, r *http.Request) (context.Context, context.CancelFunc, *geometry) {
-	ctx, cancel := server.RequestContext(r, rt.cfg.DefaultTimeout, rt.cfg.MaxTimeout)
-	g := rt.geometry(ctx)
-	if g == nil {
-		cancel()
-		http.Error(w, "router warming up: shard geometry incomplete", http.StatusServiceUnavailable)
-		return nil, nil, nil
-	}
-	return ctx, cancel, g
-}
-
-// writeUpstreamError maps a fan-out failure: the client's deadline died
-// (504) or the shard's replicas are unreachable/torn (502).
-func writeUpstreamError(w http.ResponseWriter, err error) {
-	status := http.StatusBadGateway
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		status = http.StatusGatewayTimeout
-	}
-	http.Error(w, err.Error(), status)
-}
-
-// finish emits a fully built response buffer in one Write.
-func finish(w http.ResponseWriter, buf []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
-}
-
-func (rt *Router) handleBox(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.BoxRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if err := g.validateBox(req.Start, req.Dims); err != nil {
-		server.WriteError(w, err)
-		return
-	}
-	parts := g.planParts(req.Start, req.Dims)
-	fanOut(parts, func(p *boxPart) { rt.fetchBoxPart(ctx, g, p) })
-	ok, missing, firstErr := splitParts(parts)
-	if len(missing) > 0 && !rt.cfg.Partial {
-		writeUpstreamError(w, firstErr)
-		return
-	}
-	if len(missing) > 0 {
-		rt.partials.Add(1)
-	}
-	// Merge the per-shard rank streams into global rank order. Shard rank
-	// blocks are disjoint, so this is MergeSortedAppend's concatenation
-	// fast path; the per-part cursors then walk each stream in lockstep
-	// with the merged order to recover each rank's coordinates — the
-	// stream whose cursor head equals the merged rank is its source
-	// (unique, because the validated blocks are disjoint).
-	streams := make([][]int, len(ok))
-	total := 0
-	for i, p := range ok {
-		streams[i] = p.ranks
-		total += len(p.ranks)
-	}
-	merged := storage.MergeSortedAppend(make([]int, 0, total), streams)
-	cursors := make([]int, len(ok))
-	ps := server.GetProto()
-	defer ps.Put()
-	var countAt int
-	ps.Buf, countAt = server.AppendBoxHeader(ps.Buf)
-	for i, rank := range merged {
-		for pi := range ok {
-			c := cursors[pi]
-			if c < len(ok[pi].ranks) && ok[pi].ranks[c] == rank {
-				cursors[pi]++
-				ps.Buf = server.AppendBoxRow(ps.Buf, i == 0, rank, ok[pi].coords[c*g.d:(c+1)*g.d])
-				break
-			}
-		}
-	}
-	ps.Buf = server.FinishBoxResponse(ps.Buf, countAt, len(merged), missing)
-	finish(w, ps.Buf)
-}
-
-func (rt *Router) handlePages(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.BoxRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if err := g.validateBox(req.Start, req.Dims); err != nil {
-		server.WriteError(w, err)
-		return
-	}
-	parts := g.planParts(req.Start, req.Dims)
-	fanOut(parts, func(p *boxPart) { rt.fetchPagesPart(ctx, g, p) })
-	ok, missing, firstErr := splitParts(parts)
-	if len(missing) > 0 && !rt.cfg.Partial {
-		writeUpstreamError(w, firstErr)
-		return
-	}
-	if len(missing) > 0 {
-		rt.partials.Add(1)
-	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Runs = mergeRuns(ps.Runs, ok)
-	ps.Buf = server.AppendPagesResponse(ps.Buf, ps.Runs, missing)
-	finish(w, ps.Buf)
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.BatchRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if len(req.Boxes) == 0 {
-		http.Error(w, fmt.Sprintf("%v: batch has no boxes", server.ErrBadRequest), http.StatusBadRequest)
-		return
-	}
-	// All-or-nothing validation, matching the monolithic batch contract.
-	for _, b := range req.Boxes {
-		if err := g.validateBox(b.Start, b.Dims); err != nil {
-			server.WriteError(w, err)
-			return
-		}
-	}
-	stats := make([]spectrallpm.IOStats, len(req.Boxes))
-	var missing []int
-	for i, b := range req.Boxes {
-		parts := g.planParts(b.Start, b.Dims)
-		fanOut(parts, func(p *boxPart) { rt.fetchPagesPart(ctx, g, p) })
-		ok, boxMissing, firstErr := splitParts(parts)
-		if len(boxMissing) > 0 && !rt.cfg.Partial {
-			writeUpstreamError(w, firstErr)
-			return
-		}
-		missing = mergeMissing(missing, boxMissing)
-		stats[i] = statsFromRuns(mergeRuns(nil, ok))
-	}
-	if len(missing) > 0 {
-		rt.partials.Add(1)
-	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Buf = server.AppendBatchResponse(ps.Buf, stats, missing)
-	finish(w, ps.Buf)
-}
-
-// mergeMissing unions two sorted shard-id lists without duplicates.
-func mergeMissing(dst, add []int) []int {
-	for _, s := range add {
-		i := sort.SearchInts(dst, s)
-		if i < len(dst) && dst[i] == s {
+// gather fans box b out to the shards it intersects (see fetchPart) and
+// returns the parts that answered, in rank-block order, with the sorted
+// ids of the shards that did not. In strict mode a missing shard fails the
+// query with ErrUpstream instead.
+func (rt *Router) gather(ctx context.Context, g *geometry, b spectrallpm.Box, rows bool) (ok []*boxPart, missing []int, err error) {
+	parts := g.planParts(b.Start, b.Dims)
+	fanOut(parts, func(p *boxPart) { rt.fetchPart(ctx, g, p, rows) })
+	ok = parts[:0]
+	for _, p := range parts {
+		if p.err == nil {
+			ok = append(ok, p)
 			continue
 		}
-		dst = append(dst, 0)
-		copy(dst[i+1:], dst[i:])
-		dst[i] = s
+		if !rt.cfg.Partial {
+			return nil, nil, upstream(p.err)
+		}
+		missing = append(missing, p.shard)
 	}
-	return dst
+	sort.Ints(missing)
+	return ok, missing, nil
 }
 
-func (rt *Router) handleRank(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
+// partial is the error a collection answer returns with: nil when every
+// shard answered, else the spine's label for the missing ones.
+func (rt *Router) partial(missing []int) error {
+	if len(missing) == 0 {
+		return nil
 	}
-	defer cancel()
-	var req server.RankRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if err := g.validateCoords(req.Coords); err != nil {
-		server.WriteError(w, err)
-		return
-	}
-	body := appendCoordsBody(nil, req.Coords)
-	// Grid shards tile the domain, so exactly one shard contains the
-	// point; point-set shard boxes may overlap, so every containing shard
-	// is a candidate and a 404 means "keep asking".
-	var lastErr error
-	asked := false
-	for s := range g.offset {
-		if !g.contains(s, req.Coords) {
-			continue
-		}
-		asked = true
-		data, status, err := rt.fetch(ctx, s, "/v1/rank", body, smallReplyLimit)
-		if err != nil {
-			lastErr = err
-			if !g.points {
-				break
-			}
-			continue
-		}
-		if status == http.StatusNotFound && g.points {
-			continue // not in this candidate shard
-		}
-		if status != http.StatusOK {
-			relay(w, status, data)
-			return
-		}
-		rank, err := g.parseRankReply(s, data)
-		if err != nil {
-			writeUpstreamError(w, err)
-			return
-		}
-		ps := server.GetProto()
-		defer ps.Put()
-		ps.Buf = server.AppendRankResponse(ps.Buf, rank)
-		finish(w, ps.Buf)
-		return
-	}
-	if lastErr != nil {
-		// A scalar answer cannot be partial: an unreachable owner (or, for
-		// point sets, any unreachable candidate once every reachable one
-		// said "not here") is an error even in -partial mode.
-		writeUpstreamError(w, lastErr)
-		return
-	}
-	if !asked || g.points {
-		http.Error(w, fmt.Sprintf("cluster: point %v not indexed: %v", req.Coords, spectrallpm.ErrPointNotIndexed), http.StatusNotFound)
-		return
-	}
-	http.Error(w, "cluster: no shard owns the point", http.StatusBadGateway)
+	rt.partials.Add(1)
+	return &server.ShardsMissingError{Shards: missing}
 }
 
-func (rt *Router) handlePoint(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel, g := rt.begin(w, r)
-	if g == nil {
-		return
-	}
-	defer cancel()
-	var req server.PointRequest
-	if err := server.DecodeRequest(r, &req); err != nil {
-		http.Error(w, fmt.Sprintf("%v: %v", server.ErrBadRequest, err), http.StatusBadRequest)
-		return
-	}
-	if req.Rank < 0 || req.Rank >= g.total {
-		http.Error(w, fmt.Sprintf("cluster: rank %d outside [0,%d): %v", req.Rank, g.total, spectrallpm.ErrRankOutOfRange), http.StatusBadRequest)
-		return
-	}
-	s := g.owner(req.Rank)
-	body := appendRankBody(nil, req.Rank)
-	data, status, err := rt.fetch(ctx, s, "/v1/point", body, smallReplyLimit)
-	if err != nil {
-		writeUpstreamError(w, err)
-		return
-	}
-	if status != http.StatusOK {
-		relay(w, status, data)
-		return
-	}
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Coords, err = g.parsePointReply(s, data, ps.Coords[:0])
-	if err != nil {
-		writeUpstreamError(w, err)
-		return
-	}
-	ps.Buf = server.AppendPointResponse(ps.Buf, ps.Coords)
-	finish(w, ps.Buf)
-}
+// upstream tags a fan-out failure for the spine: 502, or 504 when the
+// request deadline is in its chain.
+func upstream(err error) error { return fmt.Errorf("%w: %w", server.ErrUpstream, err) }
 
-// relay passes a worker's non-200 answer through unchanged — the workers
-// validate with the same rules the router does, so their 4xx diagnostics
-// are the client's to see.
-func relay(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(status)
-	w.Write(body)
+// workerError turns a worker's non-200 answer to a lookup into the error
+// the daemon would have returned, so the spine answers the same status:
+// 404 is ErrPointNotIndexed, 400 is badRequest, and anything else is an
+// upstream failure.
+func workerError(s, status int, body []byte, badRequest error) error {
+	kind := server.ErrUpstream
+	switch status {
+	case http.StatusNotFound:
+		kind = spectrallpm.ErrPointNotIndexed
+	case http.StatusBadRequest:
+		kind = badRequest
+	}
+	return fmt.Errorf("cluster: shard %d answered status %d: %s: %w", s, status, bytes.TrimSpace(body), kind)
 }
 
 func appendCoordsBody(b []byte, coords []int) []byte {
@@ -881,28 +621,209 @@ func appendRankBody(b []byte, rank int) []byte {
 	return append(b, '}')
 }
 
+// --- the router as a server.Queryable ---
+
+// routerView presents the router's remote shards as a server.Queryable.
+// Every query resolves the geometry (ErrWarming until the handshake
+// completes), then validates, plans, fans out and merges.
+type routerView struct{ rt *Router }
+
+var noGeometry geometry // the shape before the handshake completes
+
+func (v routerView) published() *geometry {
+	if g := v.rt.geo.Load(); g != nil {
+		return g
+	}
+	return &noGeometry
+}
+
+func (v routerView) N() int              { return v.published().total }
+func (v routerView) D() int              { return v.published().d }
+func (v routerView) Dims() []int         { return v.published().dims }
+func (v routerView) RecordsPerPage() int { return v.published().rpp }
+func (v routerView) NumPages() int       { return v.published().numPages }
+
+// Close is a no-op: the router owns no index data.
+func (v routerView) Close() error { return nil }
+
+// frame resolves the geometry a query is planned against, completing the
+// handshake within ctx if need be.
+func (v routerView) frame(ctx context.Context) (*geometry, error) {
+	if g := v.rt.geometry(ctx); g != nil {
+		return g, nil
+	}
+	return nil, fmt.Errorf("cluster: shard geometry incomplete: %w", server.ErrWarming)
+}
+
+// query resolves the geometry, validates box b and gathers its parts.
+func (v routerView) query(ctx context.Context, b spectrallpm.Box, rows bool) (*geometry, []*boxPart, []int, error) {
+	g, err := v.frame(ctx)
+	if err == nil {
+		err = g.validateBox(b.Start, b.Dims)
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ok, missing, err := v.rt.gather(ctx, g, b, rows)
+	return g, ok, missing, err
+}
+
+// ScanIntoContext yields the box's records in global rank order. Shard rank
+// blocks are disjoint and each part's ranks are checked to lie ascending in
+// its shard's block, so that order is the parts' rows concatenated in
+// block order.
+func (v routerView) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error {
+	g, ok, missing, err := v.query(ctx, b, true)
+	if err != nil {
+		return err
+	}
+	for _, p := range ok {
+		for i, rank := range p.ranks {
+			if !yield(rank, p.coords[i*g.d:(i+1)*g.d]) {
+				return v.rt.partial(missing)
+			}
+		}
+	}
+	return v.rt.partial(missing)
+}
+
+// PagesIntoContext appends the box's global page-run plan to dst.
+func (v routerView) PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error) {
+	_, ok, missing, err := v.query(ctx, b, false)
+	if err != nil {
+		return dst, err
+	}
+	return mergeRuns(dst, ok), v.rt.partial(missing)
+}
+
+// QueryIOContext derives the box's I/O stats from its merged page plan.
+func (v routerView) QueryIOContext(ctx context.Context, b spectrallpm.Box) (spectrallpm.IOStats, error) {
+	runs, err := v.PagesIntoContext(ctx, b, nil)
+	return statsFromRuns(runs), err
+}
+
+// QueryBatchContext answers every box with the monolithic all-or-nothing
+// contract: all boxes are validated before any fans out.
+func (v routerView) QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box) ([]spectrallpm.IOStats, error) {
+	g, err := v.frame(ctx)
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range boxes {
+		if err := g.validateBox(b.Start, b.Dims); err != nil {
+			return nil, err
+		}
+	}
+	stats := make([]spectrallpm.IOStats, len(boxes))
+	var missing []int
+	for i, b := range boxes {
+		ok, boxMissing, err := v.rt.gather(ctx, g, b, false)
+		if err != nil {
+			return nil, err
+		}
+		missing = append(missing, boxMissing...)
+		stats[i] = statsFromRuns(mergeRuns(nil, ok))
+	}
+	slices.Sort(missing)
+	return stats, v.rt.partial(slices.Compact(missing))
+}
+
+// RankContext asks the shards whose bounds hold coords. Grid shards tile
+// the domain, so exactly one shard contains the point; point-set shard
+// boxes may overlap, so every containing shard is a candidate and a 404
+// means "keep asking".
+func (v routerView) RankContext(ctx context.Context, coords ...int) (int, error) {
+	g, err := v.frame(ctx)
+	if err != nil {
+		return 0, err
+	}
+	if err := g.validateCoords(coords); err != nil {
+		return 0, err
+	}
+	body := appendCoordsBody(nil, coords)
+	var lastErr error
+	asked := false
+	for s := range g.offset {
+		if !g.contains(s, coords) {
+			continue
+		}
+		asked = true
+		data, status, err := v.rt.fetch(ctx, s, "/v1/rank", body, smallReplyLimit)
+		if err != nil {
+			lastErr = err
+			if !g.points {
+				break
+			}
+			continue
+		}
+		if status == http.StatusNotFound && g.points {
+			continue // not in this candidate shard
+		}
+		if status != http.StatusOK {
+			return 0, workerError(s, status, data, spectrallpm.ErrDimensionMismatch)
+		}
+		rank, err := g.parseRankReply(s, data)
+		if err != nil {
+			return 0, upstream(err)
+		}
+		return rank, nil
+	}
+	if lastErr != nil {
+		// A scalar answer cannot be partial: an unreachable owner (or, for
+		// point sets, any unreachable candidate once every reachable one
+		// said "not here") is an error even in -partial mode.
+		return 0, upstream(lastErr)
+	}
+	if !asked || g.points {
+		return 0, fmt.Errorf("cluster: point %v not indexed: %w", coords, spectrallpm.ErrPointNotIndexed)
+	}
+	return 0, fmt.Errorf("cluster: no shard owns point %v: %w", coords, server.ErrUpstream)
+}
+
+// PointContext asks the shard whose rank block holds rank.
+func (v routerView) PointContext(ctx context.Context, rank int) ([]int, error) {
+	g, err := v.frame(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if rank < 0 || rank >= g.total {
+		return nil, fmt.Errorf("cluster: rank %d outside [0,%d): %w", rank, g.total, spectrallpm.ErrRankOutOfRange)
+	}
+	s := g.owner(rank)
+	data, status, err := v.rt.fetch(ctx, s, "/v1/point", appendRankBody(nil, rank), smallReplyLimit)
+	if err != nil {
+		return nil, upstream(err)
+	}
+	if status != http.StatusOK {
+		return nil, workerError(s, status, data, spectrallpm.ErrRankOutOfRange)
+	}
+	coords, err := g.parsePointReply(s, data, nil)
+	if err != nil {
+		return nil, upstream(err)
+	}
+	return coords, nil
+}
+
+// Rank and Point are RankContext and PointContext without a request
+// deadline; each fetch attempt is still bounded by AttemptTimeout.
+func (v routerView) Rank(coords ...int) (int, error) {
+	return v.RankContext(context.Background(), coords...)
+}
+func (v routerView) Point(rank int) ([]int, error) { return v.PointContext(context.Background(), rank) }
+
+// --- the router's own endpoints and lifecycle ---
+
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	draining := rt.draining.Load()
-	ready := rt.Ready()
-	ps := server.GetProto()
-	defer ps.Put()
-	ps.Buf = append(ps.Buf, `{"status":"`...)
+	status, code := "ok", http.StatusOK
 	switch {
-	case draining:
-		ps.Buf = append(ps.Buf, `draining`...)
-	case !ready:
-		ps.Buf = append(ps.Buf, `warming`...)
-	default:
-		ps.Buf = append(ps.Buf, `ok`...)
+	case rt.srv.Draining():
+		status, code = "draining", http.StatusServiceUnavailable
+	case !rt.Ready():
+		status, code = "warming", http.StatusServiceUnavailable
 	}
-	ps.Buf = append(ps.Buf, `","shards":`...)
-	ps.Buf = server.AppendInt(ps.Buf, len(rt.shards))
-	ps.Buf = append(ps.Buf, '}')
 	w.Header().Set("Content-Type", "application/json")
-	if draining || !ready {
-		w.WriteHeader(http.StatusServiceUnavailable)
-	}
-	w.Write(ps.Buf)
+	w.WriteHeader(code)
+	fmt.Fprintf(w, `{"status":%q,"shards":%d}`, status, len(rt.shards))
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -927,7 +848,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Partials       int64        `json:"partial_responses"`
 	}{
 		Ready:          rt.Ready(),
-		Draining:       rt.draining.Load(),
+		Draining:       rt.srv.Draining(),
 		Partial:        rt.cfg.Partial,
 		Shards:         make([]shardStats, len(rt.shards)),
 		Hedges:         rt.hedges.Load(),
@@ -951,60 +872,19 @@ func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// --- daemon lifecycle ---
+// Shutdown drains the router: /healthz answers 503 "draining", the
+// listener stops accepting, and in-flight fan-outs finish within ctx's
+// budget.
+func (rt *Router) Shutdown(ctx context.Context) error { return rt.srv.Shutdown(ctx) }
 
-// Shutdown drains the router: flip the health signal, stop accepting,
-// let in-flight fan-outs finish within ctx's budget.
-func (rt *Router) Shutdown(ctx context.Context) error {
-	rt.draining.Store(true)
-	err := rt.http.Shutdown(ctx)
-	if err != nil {
-		rt.http.Close()
-	}
-	return err
-}
-
-// Run listens on the configured address, starts the probe loop (geometry
-// handshake retries + ejected-replica reinstatement probes), and serves
-// until SIGTERM/SIGINT or ctx cancellation, then drains.
+// Run starts the probe loop (geometry handshake retries + ejected-replica
+// reinstatement probes), then serves on the configured address through
+// server.Server.Run until SIGTERM/SIGINT or ctx cancellation, then drains.
 func (rt *Router) Run(ctx context.Context) error {
-	ln, err := net.Listen("tcp", rt.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	rt.ln = ln
-	rt.cfg.Logf("routing %d shards on %s (partial=%v)", len(rt.shards), ln.Addr(), rt.cfg.Partial)
+	rt.cfg.Logf("routing %d shards (partial=%v)", len(rt.shards), rt.cfg.Partial)
 	pctx, stopProbes := context.WithCancel(ctx)
 	defer stopProbes()
 	rt.ProbeOnce(pctx) // kick the geometry handshake before the first request
 	go rt.probeLoop(pctx)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- rt.http.Serve(ln) }()
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-	defer signal.Stop(sig)
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	case sg := <-sig:
-		rt.cfg.Logf("%v: draining (budget %v)", sg, rt.cfg.DrainTimeout)
-	}
-	dctx, cancel := context.WithTimeout(context.Background(), rt.cfg.DrainTimeout)
-	defer cancel()
-	err = rt.Shutdown(dctx)
-	<-serveErr
-	if err != nil {
-		return err
-	}
-	rt.cfg.Logf("drained cleanly")
-	return nil
-}
-
-// Addr returns the bound listen address once Run has started listening.
-func (rt *Router) Addr() net.Addr {
-	if rt.ln == nil {
-		return nil
-	}
-	return rt.ln.Addr()
+	return rt.srv.Run(ctx)
 }

@@ -66,28 +66,34 @@ func (v *ShardView) Dims() []int         { return v.sx.Dims() }
 func (v *ShardView) RecordsPerPage() int { return v.sx.RecordsPerPage() }
 func (v *ShardView) NumPages() int       { return v.sx.NumPages() }
 
-// Rank answers with the GLOBAL rank. Points outside this shard's bounds
-// answer ErrPointNotIndexed — for a grid that means "ask the owning
+// RankContext answers with the GLOBAL rank. Points outside this shard's
+// bounds answer ErrPointNotIndexed — for a grid that means "ask the owning
 // shard", for a point set it means "not here" (the router treats
 // overlapping point-shard boxes as a candidate list and keeps asking).
-func (v *ShardView) Rank(coords ...int) (int, error) {
+func (v *ShardView) RankContext(ctx context.Context, coords ...int) (int, error) {
 	faultinject.Fire(faultinject.PointWorkerReply)
-	return v.sx.Rank(coords...)
+	return v.sx.RankContext(ctx, coords...)
 }
 
-// Point answers the point at a GLOBAL rank. Ranks outside this shard's
-// block answer ErrRankOutOfRange even when they are valid ranks of the
-// whole index: a worker only vouches for its own block, and the router
+// PointContext answers the point at a GLOBAL rank. Ranks outside this
+// shard's block answer ErrRankOutOfRange even when they are valid ranks of
+// the whole index: a worker only vouches for its own block, and the router
 // routes each rank to its owner by offset.
-func (v *ShardView) Point(rank int) ([]int, error) {
+func (v *ShardView) PointContext(ctx context.Context, rank int) ([]int, error) {
 	faultinject.Fire(faultinject.PointWorkerReply)
-	return v.sx.Point(rank)
+	return v.sx.PointContext(ctx, rank)
 }
+
+// Rank and Point are RankContext and PointContext without a deadline.
+func (v *ShardView) Rank(coords ...int) (int, error) {
+	return v.RankContext(context.Background(), coords...)
+}
+func (v *ShardView) Point(rank int) ([]int, error) { return v.PointContext(context.Background(), rank) }
 
 // ScanIntoContext yields this shard's slice of the box in ascending
 // GLOBAL rank order with GLOBAL coordinates. Boxes are validated against
-// the global grid, so a worker rejects exactly the boxes the monolith
-// would — the router relies on this when it passes 4xx through.
+// the global grid: a worker rejects exactly the boxes the monolith would,
+// so a worker 4xx on a box the router validated is a fault.
 func (v *ShardView) ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error {
 	faultinject.Fire(faultinject.PointWorkerReply)
 	return v.sx.ScanIntoContext(ctx, b, yield)

@@ -30,27 +30,16 @@ func (s *Server) routes() {
 }
 
 // ErrBadRequest tags client-side failures (malformed JSON, oversized
-// bodies) so WriteError maps them to 400 rather than 500. The cluster
-// router wraps its own validation failures with it for the same mapping.
+// bodies) so writeError maps them to 400 rather than 500.
 var ErrBadRequest = errors.New("bad request")
 
 // requestContext derives the per-request deadline: timeout_ms from the
 // query string, clamped to MaxTimeout, defaulting to DefaultTimeout.
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	return RequestContext(r, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-}
-
-// RequestContext derives a per-request deadline from the timeout_ms query
-// parameter, clamped to max, defaulting to def — shared by the daemon and
-// the cluster router so both speak the same deadline dialect.
-func RequestContext(r *http.Request, def, max time.Duration) (context.Context, context.CancelFunc) {
-	d := def
+	d := s.cfg.DefaultTimeout
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms > 0 {
-			d = time.Duration(ms) * time.Millisecond
-			if d > max {
-				d = max
-			}
+			d = min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
 		}
 	}
 	return context.WithTimeout(r.Context(), d)
@@ -94,7 +83,7 @@ func RetryAfterSeconds(base time.Duration, slot int64) int {
 func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, fn func(ctx context.Context, q Queryable, ps *ProtoScratch) error) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	release, status, slot := s.admit(ctx)
+	status, slot := s.admit(ctx)
 	if status != 0 {
 		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(s.cfg.RetryAfter, slot)))
@@ -104,7 +93,7 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, f
 		http.Error(w, "deadline exceeded while queued", status)
 		return
 	}
-	defer release()
+	defer s.releaseSlot()
 	faultinject.Fire(faultinject.PointHandlerAdmitted)
 	if dst != nil {
 		if err := DecodeRequest(r, dst); err != nil {
@@ -136,20 +125,22 @@ func (s *Server) serveDecoded(w http.ResponseWriter, r *http.Request, dst any, f
 	w.Write(ps.Buf)
 }
 
-// WriteError maps engine errors to HTTP statuses — shared with the
-// cluster router so both fronts speak one error dialect. The response
-// body for an error is only ever this error line; the success buffer was
-// discarded whole. The returned status lets callers count classes (the
-// daemon counts 504s as expired).
-func WriteError(w http.ResponseWriter, err error) int {
+// writeError maps engine errors to HTTP statuses, counting 504s as
+// expired. The response body for an error is only ever this error line;
+// the success buffer was discarded whole.
+func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		// Checked first: an upstream failure whose cause is a deadline is a
+		// timeout to the client.
 		status = http.StatusGatewayTimeout
-	case errors.Is(err, spectrallpm.ErrIndexClosed):
-		// Retries exhausted during a reload storm; the client should simply
-		// try again.
+	case errors.Is(err, spectrallpm.ErrIndexClosed), errors.Is(err, ErrWarming):
+		// Retries exhausted during a reload storm, or a router still
+		// handshaking: the client should simply try again.
 		status = http.StatusServiceUnavailable
+	case errors.Is(err, ErrUpstream):
+		status = http.StatusBadGateway
 	case errors.Is(err, spectrallpm.ErrDimensionMismatch),
 		errors.Is(err, spectrallpm.ErrRankOutOfRange),
 		errors.Is(err, ErrBadRequest):
@@ -157,20 +148,16 @@ func WriteError(w http.ResponseWriter, err error) int {
 	case errors.Is(err, spectrallpm.ErrPointNotIndexed):
 		status = http.StatusNotFound
 	}
-	http.Error(w, err.Error(), status)
-	return status
-}
-
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	if WriteError(w, err) == http.StatusGatewayTimeout {
+	if status == http.StatusGatewayTimeout {
 		s.expired.Add(1)
 	}
+	http.Error(w, err.Error(), status)
 }
 
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req RankRequest
-	s.serveDecoded(w, r, &req, func(_ context.Context, q Queryable, ps *ProtoScratch) error {
-		rank, err := q.Rank(req.Coords...)
+	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+		rank, err := q.RankContext(ctx, req.Coords...)
 		if err != nil {
 			return err
 		}
@@ -181,8 +168,8 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	var req PointRequest
-	s.serveDecoded(w, r, &req, func(_ context.Context, q Queryable, ps *ProtoScratch) error {
-		coords, err := q.Point(req.Rank)
+	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
+		coords, err := q.PointContext(ctx, req.Rank)
 		if err != nil {
 			return err
 		}
@@ -203,10 +190,11 @@ func (s *Server) handleBox(w http.ResponseWriter, r *http.Request) {
 				count++
 				return true
 			})
+		missing, err := shardsMissing(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = FinishBoxResponse(ps.Buf, countAt, count, nil)
+		ps.Buf = FinishBoxResponse(ps.Buf, countAt, count, missing)
 		return nil
 	})
 }
@@ -216,10 +204,11 @@ func (s *Server) handlePages(w http.ResponseWriter, r *http.Request) {
 	s.serveDecoded(w, r, &req, func(ctx context.Context, q Queryable, ps *ProtoScratch) error {
 		runs, err := q.PagesIntoContext(ctx, spectrallpm.Box{Start: req.Start, Dims: req.Dims}, ps.Runs[:0])
 		ps.Runs = runs
+		missing, err := shardsMissing(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = AppendPagesResponse(ps.Buf, runs, nil)
+		ps.Buf = AppendPagesResponse(ps.Buf, runs, missing)
 		return nil
 	})
 }
@@ -235,10 +224,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			ps.Boxes = append(ps.Boxes, spectrallpm.Box{Start: b.Start, Dims: b.Dims})
 		}
 		stats, err := q.QueryBatchContext(ctx, ps.Boxes)
+		missing, err := shardsMissing(err)
 		if err != nil {
 			return err
 		}
-		ps.Buf = AppendBatchResponse(ps.Buf, stats, nil)
+		ps.Buf = AppendBatchResponse(ps.Buf, stats, missing)
 		return nil
 	})
 }
@@ -289,7 +279,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Records:    h.q.N(),
 		Pages:      h.q.NumPages(),
 		Draining:   s.draining.Load(),
-		InFlight:   s.InFlight(),
+		InFlight:   len(s.slots),
 		Queued:     s.queued.Load(),
 		Accepted:   s.accepted.Load(),
 		Shed:       s.shed.Load(),

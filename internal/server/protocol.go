@@ -6,9 +6,9 @@
 // a request that dies mid-query has written nothing.
 //
 // The types and append helpers are exported because the layer is shared:
-// the cluster router (internal/cluster) encodes its fan-out responses —
-// including the partial-results shards_missing field — through the same
-// pooled buffers and the same wire shapes the single-node daemon uses.
+// the cluster package encodes its worker requests and shard descriptions
+// with them, and the repository benchmark (perfbench/) computes expected
+// answers with the same encoders the handlers use.
 package server
 
 import (

@@ -1,15 +1,15 @@
-// Package server is the serving daemon behind cmd/lpmserve: an HTTP/JSON
-// front end over a single mapped (or materialized) index, engineered for
-// failure first. Every request passes bounded-queue admission (load
-// shedding with 429 + Retry-After), carries a per-request deadline that
-// threads as a context into the query engines (expired requests answer 504
-// without touching pooled engine scratch and never write a partial body),
-// and serves from an atomically swappable index handle — SIGHUP reloads
-// the index file with zero downtime, a corrupt replacement is rejected
-// while the old index keeps serving, and SIGTERM drains gracefully: stop
-// accepting, finish in-flight work within a drain budget, and unmap only
-// after the last borrower releases (the Lifecycle refcount in
-// internal/serve).
+// Package server is the serving spine behind every cmd/lpmserve role — the
+// daemon, a cluster worker and the cluster router: an HTTP/JSON front end
+// over one Queryable, engineered for failure first. Every request passes
+// bounded-queue admission (load shedding with 429 + Retry-After), carries a
+// per-request deadline that threads as a context into the query engines
+// (expired requests answer 504 without touching pooled engine scratch and
+// never write a partial body), and serves from an atomically swappable
+// index handle — SIGHUP reloads the index with zero downtime, a corrupt
+// replacement is rejected while the old index keeps serving, and SIGTERM
+// drains gracefully: stop accepting, finish in-flight work within a drain
+// budget, and unmap only after the last borrower releases (the Lifecycle
+// refcount in internal/serve).
 //
 // The handler core is transport-shaped, not HTTP-shaped: requests decode
 // into plain argument structs and responses are appended to a pooled byte
@@ -38,10 +38,12 @@ import (
 	"github.com/spectral-lpm/spectrallpm/internal/server/faultinject"
 )
 
-// Queryable is the serving surface the daemon needs from an index — both
-// *spectrallpm.Index and *spectrallpm.ShardedIndex satisfy it. Close must
+// Queryable is the serving surface the spine needs from an index:
+// *spectrallpm.Index, *spectrallpm.ShardedIndex, the cluster worker's
+// ShardView and the cluster router's view of its remote shards. Close must
 // be safe against in-flight queries (the mapped paths reference-count
-// borrows and wait), and the context variants must observe cancellation.
+// borrows and wait), and the context variants must observe cancellation;
+// the handlers call only those.
 type Queryable interface {
 	N() int
 	D() int
@@ -50,11 +52,46 @@ type Queryable interface {
 	NumPages() int
 	Rank(coords ...int) (int, error)
 	Point(rank int) ([]int, error)
+	RankContext(ctx context.Context, coords ...int) (int, error)
+	PointContext(ctx context.Context, rank int) ([]int, error)
 	ScanIntoContext(ctx context.Context, b spectrallpm.Box, yield func(rank int, coords []int) bool) error
 	PagesIntoContext(ctx context.Context, b spectrallpm.Box, dst []spectrallpm.PageRun) ([]spectrallpm.PageRun, error)
 	QueryIOContext(ctx context.Context, b spectrallpm.Box) (spectrallpm.IOStats, error)
 	QueryBatchContext(ctx context.Context, boxes []spectrallpm.Box) ([]spectrallpm.IOStats, error)
 	Close() error
+}
+
+// ErrUpstream reports a failed backend, such as a router shard whose
+// replicas are all unreachable: 502, or 504 if a deadline is in its chain.
+var ErrUpstream = errors.New("upstream failure")
+
+// ErrWarming reports a Queryable not ready yet (503), such as the router
+// before its geometry handshake. Unlike ErrIndexClosed it is not retried.
+var ErrWarming = errors.New("warming up")
+
+// ShardsMissingError comes with a partial answer, complete for every shard
+// but the listed ones. The box, pages and batch handlers serve that answer
+// with 200 and a "shards_missing" field.
+type ShardsMissingError struct {
+	Shards []int // sorted shard ids
+}
+
+func (e *ShardsMissingError) Error() string {
+	return fmt.Sprintf("partial answer: shards %v missing", e.Shards)
+}
+
+// shardsMissing splits a query error into the shards a partial answer
+// lacks (err was a *ShardsMissingError: the answer stands) and a real
+// failure.
+func shardsMissing(err error) ([]int, error) {
+	if err == nil {
+		return nil, nil // before the As target, which escapes
+	}
+	var e *ShardsMissingError
+	if errors.As(err, &e) {
+		return e.Shards, nil
+	}
+	return nil, err
 }
 
 // magicShardedV2 mirrors the sharded container magic so the loader can
@@ -149,9 +186,8 @@ func (c *Config) fillDefaults() {
 // load the current handle once per attempt; Reload swaps in a fresh one
 // and closes the old, which blocks until its last borrower releases.
 type indexHandle struct {
-	q    Queryable
-	path string
-	gen  uint64
+	q   Queryable
+	gen uint64
 }
 
 // Server is the daemon: an index handle behind an atomic pointer, bounded
@@ -180,7 +216,6 @@ type Server struct {
 
 	mux  *http.ServeMux
 	http *http.Server
-	ln   net.Listener
 }
 
 // New opens the configured index and assembles the daemon. The returned
@@ -200,7 +235,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		slots: make(chan struct{}, cfg.MaxInFlight),
 	}
-	s.cur.Store(&indexHandle{q: q, path: cfg.IndexPath, gen: 1})
+	s.cur.Store(&indexHandle{q: q, gen: 1})
 	s.mux = http.NewServeMux()
 	s.routes()
 	s.http = &http.Server{Handler: s.mux}
@@ -211,6 +246,14 @@ func New(cfg Config) (*Server, error) {
 // including admission and deadlines — for tests and benchmarks that bring
 // their own listener.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// SetHandler makes Run serve h in place of Handler: the hook for a front
+// that answers some endpoints itself (the cluster router's /healthz and
+// /stats) and hands every other request to Handler. Call it before Run.
+func (s *Server) SetHandler(h http.Handler) { s.http.Handler = h }
+
+// Draining reports whether Shutdown has begun.
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Index returns the currently served index handle's Queryable. The handle
 // may be swapped by a concurrent Reload the moment this returns; serving
@@ -244,7 +287,7 @@ func (s *Server) Reload() error {
 		s.cfg.Logf("reload rejected, keeping generation %d: %v", old.gen, err)
 		return fmt.Errorf("lpmserve: reload %s: %w", s.cfg.IndexPath, err)
 	}
-	s.cur.Store(&indexHandle{q: q, path: s.cfg.IndexPath, gen: old.gen + 1})
+	s.cur.Store(&indexHandle{q: q, gen: old.gen + 1})
 	s.reloads.Add(1)
 	faultinject.Fire(faultinject.PointIndexClose)
 	if err := old.q.Close(); err != nil {
@@ -290,7 +333,6 @@ func (s *Server) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.ln = ln
 	s.cfg.Logf("serving %s (generation %d, %d records) on %s",
 		s.cfg.IndexPath, s.Generation(), s.Index().N(), ln.Addr())
 	serveErr := make(chan error, 1)
@@ -315,14 +357,6 @@ func (s *Server) Run(ctx context.Context) error {
 			return s.drainAndWait(serveErr)
 		}
 	}
-}
-
-// Addr returns the bound listen address once Run has started listening.
-func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
 }
 
 func (s *Server) drainAndWait(serveErr chan error) error {
@@ -357,33 +391,30 @@ func (s *Server) withIndex(fn func(q Queryable) error) error {
 }
 
 // admit passes a request through bounded-queue admission. It returns
-// (release, 0, 0) on success — the caller must call release exactly once
-// — or (nil, status, slot) where status is 429 (queue full, shed; slot is
-// the request's position in the shed sequence, the seed for the jittered
+// (0, 0) on success — the caller must call releaseSlot exactly once — or
+// (status, slot) where status is 429 (queue full, shed; slot is the
+// request's position in the shed sequence, the seed for the jittered
 // Retry-After) or 504 (the request's deadline expired while queued).
-func (s *Server) admit(ctx context.Context) (release func(), status int, slot int64) {
+func (s *Server) admit(ctx context.Context) (status int, slot int64) {
 	select {
 	case s.slots <- struct{}{}:
 		s.accepted.Add(1)
-		return s.releaseSlot, 0, 0
+		return 0, 0
 	default:
 	}
 	if s.queued.Add(1) > int64(s.cfg.MaxQueued) {
 		s.queued.Add(-1)
-		return nil, http.StatusTooManyRequests, s.shed.Add(1)
+		return http.StatusTooManyRequests, s.shed.Add(1)
 	}
 	defer s.queued.Add(-1)
 	select {
 	case s.slots <- struct{}{}:
 		s.accepted.Add(1)
-		return s.releaseSlot, 0, 0
+		return 0, 0
 	case <-ctx.Done():
 		s.expired.Add(1)
-		return nil, http.StatusGatewayTimeout, 0
+		return http.StatusGatewayTimeout, 0
 	}
 }
 
 func (s *Server) releaseSlot() { <-s.slots }
-
-// InFlight returns the number of currently admitted requests.
-func (s *Server) InFlight() int { return len(s.slots) }

@@ -7,6 +7,7 @@ package spectrallpm_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"sort"
@@ -377,6 +378,62 @@ func TestRankZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, fn); avg != 0 {
 			t.Errorf("%s Rank allocates %.1f per op, want 0", name, avg)
 		}
+	}
+}
+
+// TestLookupContext pins the context variants of Rank and Point on both
+// index types: with a live context they answer exactly what Rank and
+// Point do (RankContext without allocating), and once the context is
+// done they answer its error instead.
+func TestLookupContext(t *testing.T) {
+	grid, err := spectrallpm.Build(context.Background(),
+		spectrallpm.WithGrid(16, 16), spectrallpm.WithMapping("hilbert"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := spectrallpm.BuildSharded(context.Background(), 4,
+		spectrallpm.WithGrid(16, 16), spectrallpm.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lookups interface {
+		Rank(coords ...int) (int, error)
+		Point(rank int) ([]int, error)
+		RankContext(ctx context.Context, coords ...int) (int, error)
+		PointContext(ctx context.Context, rank int) ([]int, error)
+	}
+	live := context.Background()
+	done, cancel := context.WithCancel(live)
+	cancel()
+	for _, c := range []struct {
+		name string
+		ix   lookups
+	}{{"index", grid}, {"sharded", sharded}} {
+		name, ix := c.name, c.ix
+		want, _ := ix.Rank(9, 12)
+		if got, err := ix.RankContext(live, 9, 12); got != want || err != nil {
+			t.Errorf("%s RankContext = %d, %v; Rank = %d", name, got, err, want)
+		}
+		wantPt, _ := ix.Point(want)
+		if got, err := ix.PointContext(live, want); !slices.Equal(got, wantPt) || err != nil {
+			t.Errorf("%s PointContext = %v, %v; Point = %v", name, got, err, wantPt)
+		}
+		if _, err := ix.RankContext(done, 9, 12); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s RankContext after cancel: %v", name, err)
+		}
+		if _, err := ix.PointContext(done, want); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s PointContext after cancel: %v", name, err)
+		}
+	}
+	if raceEnabled {
+		return // race instrumentation allocates
+	}
+	// Concrete calls: through an interface the variadic coords escape.
+	if avg := testing.AllocsPerRun(100, func() { grid.RankContext(live, 9, 12) }); avg != 0 {
+		t.Errorf("index RankContext allocates %.1f per op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() { sharded.RankContext(live, 9, 12) }); avg != 0 {
+		t.Errorf("sharded RankContext allocates %.1f per op, want 0", avg)
 	}
 }
 

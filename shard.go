@@ -483,6 +483,26 @@ func (sx *ShardedIndex) Point(rank int) ([]int, error) {
 	return p, nil
 }
 
+// RankContext is Rank for a caller with a deadline: it returns ctx's error
+// if ctx is already done, else Rank's answer.
+//
+//lpm:allocfree
+func (sx *ShardedIndex) RankContext(ctx context.Context, coords ...int) (int, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	return sx.Rank(coords...)
+}
+
+// PointContext is Point for a caller with a deadline: it returns ctx's
+// error if ctx is already done, else Point's answer.
+func (sx *ShardedIndex) PointContext(ctx context.Context, rank int) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return sx.Point(rank)
+}
+
 //lpm:allocfree
 func boundsContain(lo, hi, coords []int) bool {
 	for j, c := range coords {
