@@ -104,48 +104,45 @@ func TestClosedFormAppliesOnlyToDefaultBuilds(t *testing.T) {
 	}
 }
 
-// TestClosedFormProvenancePersists: the solver field survives the codec
-// round trip byte-stably, and eigensolver indexes keep omitting it (so
-// pre-existing files stay bit-identical — the golden tests cover those).
+// TestClosedFormProvenancePersists: the solver field survives the v2
+// round trip and the v1 import, and eigensolver indexes keep it empty.
 func TestClosedFormProvenancePersists(t *testing.T) {
-	ix, err := spectrallpm.Build(context.Background(),
+	closed, err := spectrallpm.Build(context.Background(),
 		spectrallpm.WithGrid(4, 3), spectrallpm.WithPageSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"solver":"closed-form"`) {
-		t.Fatalf("serialized index lacks closed-form provenance: %s", buf.String())
-	}
-	loaded, err := spectrallpm.ReadIndex(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Solver() != spectrallpm.SolverClosedForm {
-		t.Fatalf("loaded solver %q", loaded.Solver())
-	}
-	var again bytes.Buffer
-	if _, err := loaded.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatalf("round trip not bit-identical:\n  a: %s\n  b: %s", buf.Bytes(), again.Bytes())
-	}
-
 	solver, err := spectrallpm.Build(context.Background(),
 		spectrallpm.WithGrid(4, 3), spectrallpm.WithSolverMethod(spectrallpm.MethodExact))
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf.Reset()
-	if _, err := solver.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), `"solver"`) {
-		t.Fatalf("eigensolver index should omit the solver field: %s", buf.String())
+	for want, ix := range map[string]*spectrallpm.Index{spectrallpm.SolverClosedForm: closed, "": solver} {
+		var buf bytes.Buffer
+		if _, err := ix.WriteToV2(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := spectrallpm.ReadIndexV2(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded.Solver() != want {
+			t.Errorf("v2 reload: solver %q, want %q", loaded.Solver(), want)
+		}
+		v1, err := spectrallpm.EncodeIndexV1ForTest(ix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(string(v1), `"solver"`); got != (want != "") {
+			t.Errorf("v1 encoding %s: solver field present = %v", v1, got)
+		}
+		imported, err := spectrallpm.ReadIndex(bytes.NewReader(v1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if imported.Solver() != want {
+			t.Errorf("v1 import: solver %q, want %q", imported.Solver(), want)
+		}
 	}
 }
 

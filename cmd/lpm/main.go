@@ -1,8 +1,8 @@
 // Command lpm builds a locality-preserving index and prints the linear
 // order, either for a full grid or for an arbitrary point set read from a
 // file. The expensive spectral solve runs once; -save persists the built
-// index in the versioned format and -load serves a previously saved index
-// without re-solving.
+// index in the mmap-able v2 format and -load serves a previously saved
+// index without re-solving.
 //
 // Usage:
 //
@@ -12,11 +12,9 @@
 //	lpm -mapping spectral -dims 16,16 -conn 8    # §4 eight-connectivity
 //	lpm -dims 64,64 -save order.lpmx             # build once...
 //	lpm -load order.lpmx                         # ...serve many times
-//	lpm -dims 64,64 -save order.lpmx -saveformat v1   # portable JSON instead
 //
-// -save writes the mmap-able v2 binary format by default; -saveformat v1
-// keeps the JSON interchange format. -load detects the format from the
-// file's leading bytes, serving v2 files zero-copy from a read-only map.
+// -load detects the format from the file's leading bytes: v2 files serve
+// zero-copy from a read-only map, and older v1 JSON files are imported.
 //
 // Output columns: rank, vertex id, coordinates.
 package main
@@ -44,18 +42,17 @@ func main() {
 		conn     = flag.Int("conn", 4, "grid connectivity for spectral: 4 (orthogonal) or 8 (diagonal)")
 		format   = flag.String("format", "text", "output format: text|csv|json")
 		seed     = flag.Int64("seed", 0, "eigensolver seed")
-		solver   = flag.String("solver", "auto", "eigensolver: auto|exact|multilevel|inverse-power|lanczos|dense")
+		solver   = flag.String("solver", "auto", "eigensolver: auto|exact|multilevel|inverse-power|dense")
 		pageSize = flag.Int("pagesize", spectrallpm.DefaultRecordsPerPage, "records per storage page")
-		save     = flag.String("save", "", "write the built index to this file")
-		saveFmt  = flag.String("saveformat", "v2", "index file format for -save: v2 (mmap-able binary) or v1 (portable JSON); -load auto-detects")
-		load     = flag.String("load", "", "load a saved index instead of building (build flags like -mapping/-seed/-pagesize are ignored: the file's saved configuration wins)")
+		save     = flag.String("save", "", "write the built index to this file in the mmap-able v2 format")
+		load     = flag.String("load", "", "load a saved index (v2, or v1 JSON) instead of building (build flags like -mapping/-seed/-pagesize are ignored: the file's saved configuration wins)")
 		shards   = flag.Int("shards", 0, "build a sharded index with this many shards and -save it as a multi-shard v2 container (servable whole, or one shard per lpmserve worker)")
 	)
 	flag.Parse()
 	cfg := config{
 		mapping: *mapping, dims: *dims, points: *points, conn: *conn,
 		format: *format, seed: *seed, solver: *solver, pageSize: *pageSize,
-		save: *save, saveFormat: *saveFmt, load: *load, shards: *shards,
+		save: *save, load: *load, shards: *shards,
 	}
 	if err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintf(os.Stderr, "lpm: %v\n", err)
@@ -70,8 +67,7 @@ type config struct {
 	seed                  int64
 	solver                string
 	pageSize              int
-	save, saveFormat      string
-	load                  string
+	save, load            string
 	shards                int
 }
 
@@ -93,7 +89,7 @@ func run(w io.Writer, cfg config) error {
 	// it (a no-op for built and v1-loaded indexes).
 	defer ix.Close()
 	if cfg.save != "" {
-		if err := saveIndex(ix, cfg.save, cfg.saveFormat); err != nil {
+		if err := saveIndex(ix, cfg.save); err != nil {
 			return err
 		}
 	}
@@ -110,9 +106,6 @@ func run(w io.Writer, cfg config) error {
 func runSharded(w io.Writer, cfg config) error {
 	if cfg.save == "" {
 		return fmt.Errorf("-shards requires -save (a sharded build exists to be served from its container file)")
-	}
-	if cfg.saveFormat != "" && cfg.saveFormat != "v2" {
-		return fmt.Errorf("sharded containers are v2-only, got -saveformat %q", cfg.saveFormat)
 	}
 	opts, err := buildOptions(cfg)
 	if err != nil {
@@ -229,20 +222,12 @@ func buildOptions(cfg config) ([]spectrallpm.BuildOption, error) {
 	return opts, nil
 }
 
-func saveIndex(ix *spectrallpm.Index, path, format string) error {
+func saveIndex(ix *spectrallpm.Index, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "", "v2": // the flag default; "" covers direct config construction
-		_, err = ix.WriteToV2(f)
-	case "v1":
-		_, err = ix.WriteTo(f)
-	default:
-		err = fmt.Errorf("unknown -saveformat %q (want v1 or v2)", format)
-	}
-	if err != nil {
+	if _, err := ix.WriteToV2(f); err != nil {
 		f.Close()
 		return err
 	}

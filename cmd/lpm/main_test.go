@@ -108,9 +108,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&buf, config{mapping: "spectral", dims: "", points: "/nonexistent/file", conn: 4, format: "text", seed: 0, solver: "auto", pageSize: 64}); err == nil {
 		t.Error("missing points file accepted")
 	}
-	if err := run(&buf, config{mapping: "hilbert", dims: "4,4", conn: 4, format: "text", solver: "auto", pageSize: 64, save: filepath.Join(t.TempDir(), "x.lpmx"), saveFormat: "v3"}); err == nil {
-		t.Error("bad -saveformat accepted")
-	}
 }
 
 func TestReadPointsErrors(t *testing.T) {
@@ -132,29 +129,39 @@ func TestReadPointsErrors(t *testing.T) {
 }
 
 func TestRunSaveAndLoadRoundTrip(t *testing.T) {
-	// -load auto-detects the file format, so both save formats must serve
-	// identically ("" exercises the flag default, which is v2).
-	for _, saveFormat := range []string{"", "v1", "v2"} {
-		t.Run("saveformat="+saveFormat, func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "order.lpmx")
-			var built bytes.Buffer
-			cfg := config{mapping: "spectral", dims: "6,6", conn: 4, format: "csv", solver: "auto", pageSize: 8, save: path, saveFormat: saveFormat}
-			if err := run(&built, cfg); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(path); err != nil {
-				t.Fatalf("index not saved: %v", err)
-			}
-			// Serving from the saved file reproduces the build output exactly.
-			var served bytes.Buffer
-			if err := run(&served, config{format: "csv", load: path, solver: "auto", pageSize: 8}); err != nil {
-				t.Fatal(err)
-			}
-			if built.String() != served.String() {
-				t.Errorf("served order differs from built order:\n built: %s\nserved: %s", built.String(), served.String())
-			}
-		})
+	dir := t.TempDir()
+	path := filepath.Join(dir, "order.lpmx")
+	var built bytes.Buffer
+	cfg := config{mapping: "spectral", dims: "6,6", conn: 4, format: "csv", solver: "auto", pageSize: 8, save: path}
+	if err := run(&built, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("index not saved: %v", err)
+	}
+	// Serving from the saved file reproduces the build output exactly.
+	var served bytes.Buffer
+	if err := run(&served, config{format: "csv", load: path, solver: "auto", pageSize: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if built.String() != served.String() {
+		t.Errorf("served order differs from built order:\n built: %s\nserved: %s", built.String(), served.String())
+	}
+}
+
+// TestRunLoadV1Golden: -load still imports a v1 JSON file and prints the
+// order it was saved with.
+func TestRunLoadV1Golden(t *testing.T) {
+	var built, served bytes.Buffer
+	if err := run(&built, config{mapping: "hilbert", dims: "4,4", conn: 4, format: "csv", solver: "auto", pageSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("..", "..", "testdata", "index_v1_hilbert_4x4.golden")
+	if err := run(&served, config{format: "csv", load: golden, solver: "auto", pageSize: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if built.String() != served.String() {
+		t.Errorf("v1 golden serves a different order:\n built: %s\nserved: %s", built.String(), served.String())
 	}
 }
 

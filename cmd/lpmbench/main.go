@@ -38,7 +38,7 @@ func main() {
 		fig6side  = flag.Int("fig6-side", 0, "override Figure 6 grid side (default 6)")
 		fig6dims  = flag.Int("fig6-dims", 0, "override Figure 6 dimensionality (default 4)")
 		seed      = flag.Int64("seed", 0, "eigensolver seed")
-		solver    = flag.String("solver", "auto", "eigensolver: auto|exact|multilevel|inverse-power|lanczos|dense")
+		solver    = flag.String("solver", "auto", "eigensolver: auto|exact|multilevel|inverse-power|dense")
 		parallel  = flag.Int("parallel", 0, "sparse-kernel goroutines (0 = GOMAXPROCS, 1 = serial)")
 		serveSide = flag.Int("serve-side", 32, "serve experiment grid side")
 		serveQ    = flag.Int("serve-q", 4, "serve experiment query side")
@@ -161,11 +161,11 @@ type servingIndex interface {
 }
 
 // printServe benchmarks the build-once/query-many split on the public
-// Index API: one spectral solve (wall-clocked), a WriteTo/ReadIndex cycle
-// (proving a server can reload without re-solving), then every position of
-// the query box answered through the amortized serving pattern (ScanInto
-// with a shared yield, PagesInto with a reused plan buffer — zero
-// steady-state allocations), plus the same boxes pushed through the
+// Index API: one spectral solve (wall-clocked), a WriteToV2/ReadIndexV2
+// cycle (proving a server can reload without re-solving), then every
+// position of the query box answered through the amortized serving pattern
+// (ScanInto with a shared yield, PagesInto with a reused plan buffer —
+// zero steady-state allocations), plus the same boxes pushed through the
 // parallel QueryBatch, reporting both query throughputs and the average
 // I/O plan per mapping. With -shards N a final row builds the spectral
 // order as N parallel per-shard solves (BuildSharded) and serves through
@@ -209,11 +209,11 @@ func printServe(w io.Writer, cfg experiments.Config, serve serveConfig) error {
 
 		// Persist and reload: the served index never re-solves.
 		var file bytes.Buffer
-		if _, err := built.WriteTo(&file); err != nil {
+		if _, err := built.WriteToV2(&file); err != nil {
 			return err
 		}
 		reloadStart := time.Now()
-		ix, err := spectrallpm.ReadIndex(&file)
+		ix, err := spectrallpm.ReadIndexV2(&file)
 		if err != nil {
 			return err
 		}
@@ -232,16 +232,13 @@ func printServe(w io.Writer, cfg experiments.Config, serve serveConfig) error {
 			return err
 		}
 	}
-	var openNote string
 	if spectralBuilt != nil {
 		// The /cf marker is dropped from the row name: how the order was
 		// solved is irrelevant to how the file is served.
 		name := strings.TrimSuffix(spectralName, "/cf") + "/mmap"
-		note, err := serveMappedRow(w, name, spectralBuilt, boxes, qside)
-		if err != nil {
+		if err := serveMappedRow(w, name, spectralBuilt, boxes, qside); err != nil {
 			return err
 		}
-		openNote = note
 	}
 	if serve.shards > 1 {
 		buildStart := time.Now()
@@ -254,11 +251,11 @@ func printServe(w io.Writer, cfg experiments.Config, serve serveConfig) error {
 		}
 		buildMS := float64(time.Since(buildStart).Microseconds()) / 1e3
 		var file bytes.Buffer
-		if _, err := built.WriteTo(&file); err != nil {
+		if _, err := built.WriteToV2(&file); err != nil {
 			return err
 		}
 		reloadStart := time.Now()
-		sx, err := spectrallpm.ReadSharded(&file)
+		sx, err := spectrallpm.ReadShardedV2(&file)
 		if err != nil {
 			return err
 		}
@@ -268,8 +265,8 @@ func printServe(w io.Writer, cfg experiments.Config, serve serveConfig) error {
 			return err
 		}
 	}
-	if openNote != "" {
-		fmt.Fprintln(w, openNote)
+	if spectralBuilt != nil {
+		fmt.Fprintln(w, "mmap row: the build column is the WriteToV2 cost, the reload column open-to-first-query")
 	}
 	fmt.Fprintln(w)
 	return nil
@@ -278,67 +275,40 @@ func printServe(w io.Writer, cfg experiments.Config, serve serveConfig) error {
 // serveMappedRow persists the spectral index in the v2 binary format and
 // serves it straight from a read-only file mapping. The reload column
 // carries the open-to-first-query latency — OpenMapped validates
-// checksums and permutations but never copies the arrays, so the first
-// query runs before a v1 reader would have finished decoding — and the
-// build column carries the WriteToV2 cost. The returned note compares
-// that latency against the v1 JSON path (ReadIndex materializes the whole
-// file before any query) on the same index.
-func serveMappedRow(w io.Writer, name string, built *spectrallpm.Index, boxes []spectrallpm.Box, qside int) (string, error) {
+// checksums and permutations but never copies the arrays — and the build
+// column carries the WriteToV2 cost.
+func serveMappedRow(w io.Writer, name string, built *spectrallpm.Index, boxes []spectrallpm.Box, qside int) error {
 	dir, err := os.MkdirTemp("", "lpmbench-mmap-")
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "index.slpm2")
 	f, err := os.Create(path)
 	if err != nil {
-		return "", err
+		return err
 	}
 	writeStart := time.Now()
 	if _, err := built.WriteToV2(f); err != nil {
 		f.Close()
-		return "", err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return "", err
+		return err
 	}
 	writeMS := float64(time.Since(writeStart).Microseconds()) / 1e3
-
-	probe := boxes[0]
-	var v1 bytes.Buffer
-	if _, err := built.WriteTo(&v1); err != nil {
-		return "", err
-	}
-	v1Start := time.Now()
-	v1ix, err := spectrallpm.ReadIndex(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		return "", err
-	}
-	if _, err := v1ix.QueryIO(probe); err != nil {
-		return "", err
-	}
-	v1MS := float64(time.Since(v1Start).Microseconds()) / 1e3
 
 	openStart := time.Now()
 	mx, err := spectrallpm.OpenMapped(path)
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer mx.Close()
-	if _, err := mx.QueryIO(probe); err != nil {
-		return "", err
+	if _, err := mx.QueryIO(boxes[0]); err != nil {
+		return err
 	}
 	openMS := float64(time.Since(openStart).Microseconds()) / 1e3
-
-	if err := serveRow(w, name, mx, writeMS, openMS, boxes, qside); err != nil {
-		return "", err
-	}
-	ratio := 0.0
-	if openMS > 0 {
-		ratio = v1MS / openMS
-	}
-	note := fmt.Sprintf("open-to-first-query: v1 read+decode %.3f ms, v2 mmap %.3f ms (%.0fx); mmap build column is the WriteToV2 cost", v1MS, openMS, ratio)
-	return note, nil
+	return serveRow(w, name, mx, writeMS, openMS, boxes, qside)
 }
 
 // serveRow runs the measurement loop for one index flavor and prints its

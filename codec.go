@@ -11,24 +11,18 @@ import (
 	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
 
-// The serialized index format: a single JSON object, one line, with a
-// format tag and an explicit version so servers can reject files from the
-// future. Version 1 carries the mapping name, the grid dimensions, the
-// connectivity/weights/solver provenance of spectral orders ("solver" is
-// "closed-form" for the analytic default-grid path and absent for an
-// eigensolve — absence keeps pre-existing files byte-stable), per-component
-// λ₂, the page size, the point set (point-set indexes only), and the rank
-// permutation. Serialization is deterministic: the same index always
-// produces the same bytes, and WriteTo∘ReadIndex is the identity on those
-// bytes.
+// The version-1 index format, which this package reads but does not write
+// (WriteToV2 is the one writer): a single JSON object, one line,
+// with a format tag and an explicit version so readers can reject files
+// from the future. Version 1 carries the mapping name, the grid
+// dimensions, the connectivity/weights/solver provenance of spectral
+// orders ("solver" is "closed-form" for the analytic default-grid path and
+// absent for an eigensolve), per-component λ₂, the page size, the point
+// set (point-set indexes only), and the rank permutation.
 //
-// The "points" key is encoded through a pointer so that PRESENCE — not
-// emptiness — selects the point-set decode path: an empty point-set index
-// (loadable from external files) writes "points":[] and round-trips as a
-// point set, while full-grid indexes omit the key entirely. A plain
-// omitempty slice would drop the empty array and silently demote the index
-// to the full-grid path on reload, where an empty rank permutation cannot
-// cover the grid.
+// The "points" key decodes through a pointer so that PRESENCE — not
+// emptiness — selects the point-set decode path: "points":[] is an empty
+// point-set index, while full-grid indexes omit the key entirely.
 const (
 	indexFormat  = "spectrallpm-index"
 	indexVersion = 1
@@ -50,67 +44,23 @@ type indexFileV1 struct {
 	Rank           []int     `json:"rank"`
 }
 
-// wireForm assembles the version-1 wire struct for an index.
-func (ix *Index) wireForm() indexFileV1 {
-	f := indexFileV1{
-		Format:         indexFormat,
-		Version:        indexVersion,
-		Name:           ix.name,
-		Dims:           ix.grid.Dims(),
-		Connectivity:   ix.meta.connectivity,
-		Weights:        ix.meta.weights,
-		Affinity:       ix.meta.affinity,
-		Solver:         ix.meta.solver,
-		Lambda2:        ix.lambda2,
-		RecordsPerPage: ix.pager.RecordsPerPage(),
-	}
-	if ix.mapping != nil {
-		f.Rank = ix.mapping.Ranks()
-	} else {
-		f.Points = &ix.pts
-		f.Rank = ix.rank
-	}
-	return f
-}
-
-// WriteTo serializes the index in the versioned format, so a server can
-// load a prebuilt order at startup without re-solving. It implements
-// io.WriterTo and writes exactly one newline-terminated JSON object.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	f := ix.wireForm()
-	data, err := json.Marshal(f)
-	if err != nil {
-		return 0, fmt.Errorf("spectrallpm: encode index: %w", err)
-	}
-	data = append(data, '\n')
-	n, err := w.Write(data)
-	return int64(n), err
-}
-
-// ReadIndex loads an index written by WriteTo, validating the format tag,
-// the version, and that the rank slice is a permutation over the declared
-// points (ErrNotPermutation otherwise). Structural inconsistencies an
-// attacker could plant in a hand-crafted file — a grid whose dims product
-// would wrap the vertex count, a non-positive page size, impossible λ₂
-// entries — are rejected with errors matching ErrCorruptIndex or
-// ErrDimensionMismatch rather than being allowed to panic or
-// over-allocate. The loaded index serializes back to the exact bytes it
-// was read from. Serving parallelism is not part of the format: a reloaded
-// index runs QueryBatch at GOMAXPROCS regardless of the WithParallelism
-// the builder used.
+// ReadIndex imports an index from the version-1 JSON format, validating
+// the format tag, the version, and that the rank slice is a permutation
+// over the declared points (ErrNotPermutation otherwise). Structural
+// inconsistencies an attacker could plant in a hand-crafted file — a grid
+// whose dims product would wrap the vertex count, a non-positive page
+// size, impossible λ₂ entries — are rejected with errors matching
+// ErrCorruptIndex or ErrDimensionMismatch rather than being allowed to
+// panic or over-allocate. Write the imported index with WriteToV2 to serve
+// it from a read-only map. Serving parallelism is not part of the format:
+// a reloaded index runs QueryBatch at GOMAXPROCS regardless of the
+// WithParallelism the builder used.
 func ReadIndex(r io.Reader) (*Index, error) {
 	var f indexFileV1
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("spectrallpm: decode index: %w", err)
 	}
-	return indexFromFile(&f)
-}
-
-// indexFromFile builds an Index from a decoded version-1 wire struct with
-// full validation — the shared trust boundary of ReadIndex and the
-// per-shard frames of ReadSharded.
-func indexFromFile(f *indexFileV1) (*Index, error) {
 	if f.Format != indexFormat {
 		return nil, fmt.Errorf("spectrallpm: not an index file (format %q, want %q)", f.Format, indexFormat)
 	}
@@ -149,7 +99,7 @@ func indexFromFile(f *indexFileV1) (*Index, error) {
 		meta:    provenance{connectivity: f.Connectivity, weights: f.Weights, affinity: f.Affinity, solver: f.Solver},
 	}
 	if f.Points != nil {
-		if err := loadPointSet(ix, grid, f); err != nil {
+		if err := loadPointSet(ix, grid, &f); err != nil {
 			return nil, err
 		}
 		pager, err := storage.NewPager(len(*f.Points), f.RecordsPerPage)
@@ -205,9 +155,6 @@ func loadPointSet(ix *Index, grid *graph.Grid, f *indexFileV1) error {
 	if n == 0 {
 		// An empty point-set file is a valid (if useless) index; Pack
 		// rejects zero points, and every query answers empty without it.
-		// WriteTo preserves the empty "points" array (see the format
-		// comment), so the emptiness survives a rewrite instead of
-		// demoting the index to the full-grid path.
 		return nil
 	}
 	ix.rt, err = rtree.Pack(pts, vert, pointTreeFanout)

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,10 +16,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenIndexes pins the version-1 serialization format. Both cases are
-// chosen to be byte-stable forever: the hilbert order is closed-form, and
-// the two-point spectral order solves the K₂ component by its closed form
-// (λ₂ = 2 exactly), so no iterative solver digits appear in the file.
+// goldenIndexes are the indexes the version-1 golden files hold. Both are
+// byte-stable forever: the hilbert order is closed-form, and the two-point
+// spectral order solves the K₂ component by its closed form (λ₂ = 2
+// exactly), so no iterative solver digits appear in the files.
 func goldenIndexes(t *testing.T) map[string]*spectrallpm.Index {
 	t.Helper()
 	return map[string]*spectrallpm.Index{
@@ -29,39 +30,53 @@ func goldenIndexes(t *testing.T) map[string]*spectrallpm.Index {
 	}
 }
 
+// TestIndexGoldenFormat imports each version-1 golden file, which this
+// package no longer writes: the imported index must serve exactly like
+// the index it was saved from, and WriteToV2 must turn it into the
+// matching version-2 golden file byte for byte. The test-only v1 encoder
+// must reproduce the file, so the tests that feed ReadIndex through it
+// feed genuine v1 bytes.
 func TestIndexGoldenFormat(t *testing.T) {
 	golden := goldenIndexes(t)
 	for _, name := range sortedKeys(golden) {
-		ix := golden[name]
+		built := golden[name]
 		t.Run(name, func(t *testing.T) {
-			path := filepath.Join("testdata", name)
-			var buf bytes.Buffer
-			n, err := ix.WriteTo(&buf)
+			v1, err := os.ReadFile(filepath.Join("testdata", name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n != int64(buf.Len()) {
-				t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
-			}
-			if *updateGolden {
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
+			imported, err := spectrallpm.ReadIndex(bytes.NewReader(v1))
 			if err != nil {
-				t.Fatalf("%v (run with -update to regenerate)", err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Errorf("serialization drifted from golden file %s:\n got: %s\nwant: %s", path, buf.Bytes(), want)
+			requireSameServing(t, built, imported)
+			var v2 bytes.Buffer
+			if _, err := imported.WriteToV2(&v2); err != nil {
+				t.Fatal(err)
+			}
+			v2path := filepath.Join("testdata", strings.Replace(name, "index_v1_", "index_v2_", 1))
+			want, err := os.ReadFile(v2path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v2.Bytes(), want) {
+				t.Errorf("imported %s writes v2 bytes that differ from %s (%d vs %d bytes)", name, v2path, v2.Len(), len(want))
+			}
+			encoded, err := spectrallpm.EncodeIndexV1ForTest(built)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encoded, v1) {
+				t.Errorf("test-only v1 encoder drifted from %s:\n got: %s\nwant: %s", name, encoded, v1)
 			}
 		})
 	}
 }
 
-// TestIndexRoundTripBitIdentical checks WriteTo -> ReadIndex -> WriteTo
-// reproduces the exact bytes, including for a solver-produced spectral
-// index whose λ₂ is a nontrivial float.
+// TestIndexRoundTripBitIdentical checks that ReadIndex imports every field
+// of the version-1 format: v1 bytes -> ReadIndex -> v1 bytes reproduces
+// the input exactly, including for a solver-produced spectral index whose
+// λ₂ is a nontrivial float.
 func TestIndexRoundTripBitIdentical(t *testing.T) {
 	indexes := goldenIndexes(t)
 	indexes["spectral_8x8"] = buildTestIndex(t, spectrallpm.WithGrid(8, 8), spectrallpm.WithSeed(7), spectrallpm.WithPageSize(8))
@@ -75,20 +90,20 @@ func TestIndexRoundTripBitIdentical(t *testing.T) {
 	for _, name := range sortedKeys(indexes) {
 		ix := indexes[name]
 		t.Run(name, func(t *testing.T) {
-			var a bytes.Buffer
-			if _, err := ix.WriteTo(&a); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := spectrallpm.ReadIndex(bytes.NewReader(a.Bytes()))
+			a, err := spectrallpm.EncodeIndexV1ForTest(ix)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var b bytes.Buffer
-			if _, err := loaded.WriteTo(&b); err != nil {
+			loaded, err := spectrallpm.ReadIndex(bytes.NewReader(a))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(a.Bytes(), b.Bytes()) {
-				t.Errorf("round trip not bit-identical:\n  a: %s\n  b: %s", a.Bytes(), b.Bytes())
+			b, err := spectrallpm.EncodeIndexV1ForTest(loaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("round trip not bit-identical:\n  a: %s\n  b: %s", a, b)
 			}
 			// The loaded index serves the same ranks.
 			if loaded.N() != ix.N() || loaded.Name() != ix.Name() || loaded.RecordsPerPage() != ix.RecordsPerPage() {
@@ -167,47 +182,36 @@ func TestReadIndexEmptyPointSet(t *testing.T) {
 	}
 }
 
-// TestEmptyPointSetRoundTrip pins the confirmed WriteTo∘ReadIndex identity
-// bug: "points" used a plain omitempty slice, so rewriting a loaded empty
-// point-set index dropped the key, demoting the file to the full-grid
-// decode path where an empty rank permutation cannot cover the grid. The
-// fix encodes presence through a pointer; an empty point set must now
-// survive any number of read/write cycles byte-identically.
+// TestEmptyPointSetRoundTrip: "points" decodes through a pointer, so an
+// imported file with an empty point array stays an empty point-set index
+// (a plain slice would demote it to the full-grid path, where an empty
+// rank permutation cannot cover the grid), and it keeps that kind through
+// the v2 writer and reader.
 func TestEmptyPointSetRoundTrip(t *testing.T) {
 	const file = `{"format":"spectrallpm-index","version":1,"name":"spectral","dims":[1,1],"records_per_page":4,"points":[],"rank":[]}` + "\n"
 	ix, err := spectrallpm.ReadIndex(strings.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rewritten bytes.Buffer
-	if _, err := ix.WriteTo(&rewritten); err != nil {
+	var v2 bytes.Buffer
+	if _, err := ix.WriteToV2(&v2); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(rewritten.String(), `"points":[]`) {
-		t.Fatalf("rewritten file dropped the empty points array: %s", rewritten.String())
-	}
-	reloaded, err := spectrallpm.ReadIndex(bytes.NewReader(rewritten.Bytes()))
+	reloaded, err := spectrallpm.ReadIndexV2(bytes.NewReader(v2.Bytes()))
 	if err != nil {
-		t.Fatalf("rewritten empty point-set index does not load: %v", err)
+		t.Fatalf("empty point-set index does not reload: %v", err)
 	}
 	if reloaded.N() != 0 || reloaded.Points() == nil {
 		t.Fatalf("reloaded index is not an empty point set: N=%d points=%v", reloaded.N(), reloaded.Points())
 	}
-	var again bytes.Buffer
-	if _, err := reloaded.WriteTo(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rewritten.Bytes(), again.Bytes()) {
-		t.Fatalf("second cycle not bit-identical:\n  a: %s\n  b: %s", rewritten.Bytes(), again.Bytes())
-	}
-	// Grid indexes must still omit the key entirely (v1 compatibility).
-	grid := buildTestIndex(t, spectrallpm.WithGrid(2, 2), spectrallpm.WithMapping("sweep"))
-	var gbuf bytes.Buffer
-	if _, err := grid.WriteTo(&gbuf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(gbuf.String(), `"points"`) {
-		t.Fatalf("grid index grew a points key: %s", gbuf.String())
+	for _, got := range []*spectrallpm.Index{ix, reloaded} {
+		encoded, err := spectrallpm.EncodeIndexV1ForTest(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(encoded) != file {
+			t.Fatalf("empty point set lost its kind:\n got: %s\nwant: %s", encoded, file)
+		}
 	}
 }
 
@@ -245,11 +249,10 @@ func TestReadIndexHardening(t *testing.T) {
 	}
 }
 
-// FuzzReadIndex hammers the single-index codec with mutated inputs seeded
-// from the golden files plus truncated and corrupted variants. Two
-// invariants: ReadIndex never panics, and anything it accepts round-trips
-// bit-identically through WriteTo and loads again (decode is a projection
-// onto valid indexes).
+// FuzzReadIndex hammers the v1 importer with mutated inputs seeded from
+// the golden files plus truncated and corrupted variants. Two invariants:
+// ReadIndex never panics, and anything it accepts survives WriteToV2 and
+// ReadIndexV2 with the same N and the same rank and point at every rank.
 func FuzzReadIndex(f *testing.F) {
 	for _, name := range []string{"index_v1_hilbert_4x4.golden", "index_v1_points_k2.golden"} {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -270,19 +273,35 @@ func FuzzReadIndex(f *testing.F) {
 			return
 		}
 		var out bytes.Buffer
-		if _, err := ix.WriteTo(&out); err != nil {
-			t.Fatalf("accepted index does not re-serialize: %v", err)
+		if _, err := ix.WriteToV2(&out); err != nil {
+			t.Fatalf("accepted index does not write as v2: %v", err)
 		}
-		again, err := spectrallpm.ReadIndex(bytes.NewReader(out.Bytes()))
+		again, err := spectrallpm.ReadIndexV2(bytes.NewReader(out.Bytes()))
 		if err != nil {
-			t.Fatalf("re-serialized index does not load: %v\nfile: %s", err, out.Bytes())
+			t.Fatalf("v2 copy of an accepted index does not load: %v", err)
 		}
-		var out2 bytes.Buffer
-		if _, err := again.WriteTo(&out2); err != nil {
-			t.Fatal(err)
+		if again.N() != ix.N() {
+			t.Fatalf("v2 copy holds %d records, import %d", again.N(), ix.N())
 		}
-		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
-			t.Fatalf("write/read/write not stable:\n  a: %s\n  b: %s", out.Bytes(), out2.Bytes())
+		for r := 0; r < ix.N(); r++ {
+			p, err := ix.Point(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := again.Point(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(p, q) {
+				t.Fatalf("rank %d: v2 copy holds point %v, import %v", r, q, p)
+			}
+			got, err := again.Rank(p...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != r {
+				t.Fatalf("v2 copy ranks %v at %d, import at %d", p, got, r)
+			}
 		}
 	})
 }
@@ -297,10 +316,10 @@ func TestBuildServeSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
-	if _, err := built.WriteTo(&file); err != nil {
+	if _, err := built.WriteToV2(&file); err != nil {
 		t.Fatal(err)
 	}
-	server, err := spectrallpm.ReadIndex(&file)
+	server, err := spectrallpm.ReadIndexV2(&file)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 	"github.com/spectral-lpm/spectrallpm/internal/storage"
 )
 
-// The version-2 binary index format — the mmap-able counterpart of the v1
-// JSON codec. A v2 file is a sequence of fixed-width little-endian
+// The version-2 binary index format — the one format this package writes
+// (ReadIndex still imports the older v1 JSON files). A v2 file is a sequence of fixed-width little-endian
 // sections laid out so the serving engines can operate on the raw bytes in
 // place: every section sits at an 8-aligned offset, every array element is
 // a 64-bit word, and the file carries exactly the flat frame the engines
@@ -26,8 +26,7 @@ import (
 // layout, the flat point table, the packed R-tree rectangles). On a
 // little-endian 64-bit host OpenMapped serves queries straight from the
 // mapped region without decoding anything; elsewhere ReadIndexV2
-// materializes the same sections portably. v1 JSON remains the portable
-// interchange format; v2 is the serving format.
+// materializes the same sections portably.
 //
 // Single-index frame layout:
 //
@@ -516,7 +515,7 @@ func parseMetaV2(payload []byte) (*metaV2, error) {
 			m.lambda2[i] = math.Float64frombits(c.u64("lambda2"))
 		}
 		if nl == 0 {
-			m.lambda2 = nil // match the v1 wire form's omitempty nil
+			m.lambda2 = nil // no λ₂ is nil, as on a built index
 		}
 	}
 	m.name = c.str("name")
@@ -725,9 +724,9 @@ func decodePointsV2(ix *Index, meta *metaV2, secs []v2sec, borrow bool) error {
 	rank := intsFromBytes(secs[1].payload, borrow)
 	vert := intsFromBytes(secs[2].payload, borrow)
 	if meta.n == 0 {
-		// Keep the empty slices non-nil: the v1 writer distinguishes an
-		// empty point-set index ("rank":[]) from a grid one, and a mapped
-		// empty index must re-serialize v1 byte-identically.
+		// Keep the empty slices non-nil, exactly as the v1 importer
+		// leaves an empty point-set index ("rank":[]), so both load paths
+		// yield the same index.
 		rank, vert = []int{}, []int{}
 	}
 	if err := checkInverse(rank, vert); err != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,8 +105,9 @@ func v2TestIndexes(t *testing.T) map[string]*spectrallpm.Index {
 	}
 }
 
-// TestIndexV2GoldenFormat pins the v2 binary serialization bit-for-bit,
-// exactly as the v1 golden test does — the files double as the fuzz seeds.
+// TestIndexV2GoldenFormat pins the v2 binary serialization bit-for-bit —
+// the files double as the fuzz seeds and as the expected output of
+// importing the v1 goldens (TestIndexGoldenFormat).
 func TestIndexV2GoldenFormat(t *testing.T) {
 	golden := map[string]*spectrallpm.Index{
 		"index_v2_hilbert_4x4.golden": buildTestIndex(t,
@@ -183,11 +185,11 @@ func TestIndexV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestCrossVersionV1ToV2 is the compatibility property: every v1 golden
-// file in testdata, plus freshly built grid and point-set flavors, must
-// survive read-v1 → write-v2 → OpenMapped rank-for-rank identical — and
-// the mapped index must write v1 bytes identical to what the v1 index
-// writes, so the two formats are interchangeable projections of one index.
+// TestCrossVersionV1ToV2 is the import property: every v1 golden file in
+// testdata, plus v1 encodings of freshly built grid and point-set flavors,
+// must survive read-v1 → write-v2 → OpenMapped rank-for-rank identical —
+// and the mapped index must encode back to the v1 input byte for byte, so
+// the import loses no field.
 func TestCrossVersionV1ToV2(t *testing.T) {
 	cases := map[string][]byte{}
 	goldens, err := filepath.Glob(filepath.Join("testdata", "index_v1_*.golden"))
@@ -206,12 +208,11 @@ func TestCrossVersionV1ToV2(t *testing.T) {
 	}
 	v2indexes := v2TestIndexes(t)
 	for _, name := range sortedKeys(v2indexes) {
-		ix := v2indexes[name]
-		var buf bytes.Buffer
-		if _, err := ix.WriteTo(&buf); err != nil {
+		data, err := spectrallpm.EncodeIndexV1ForTest(v2indexes[name])
+		if err != nil {
 			t.Fatal(err)
 		}
-		cases[name] = buf.Bytes()
+		cases[name] = data
 	}
 	for _, name := range sortedKeys(cases) {
 		v1bytes := cases[name]
@@ -226,29 +227,31 @@ func TestCrossVersionV1ToV2(t *testing.T) {
 			}
 			defer mapped.Close()
 			requireSameServing(t, v1, mapped)
-			var back bytes.Buffer
-			if _, err := mapped.WriteTo(&back); err != nil {
+			back, err := spectrallpm.EncodeIndexV1ForTest(mapped)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(back.Bytes(), v1bytes) {
-				t.Errorf("v1→v2→v1 not bit-identical:\n got: %s\nwant: %s", back.Bytes(), v1bytes)
+			if !bytes.Equal(back, v1bytes) {
+				t.Errorf("v1→v2→v1 not bit-identical:\n got: %s\nwant: %s", back, v1bytes)
 			}
 		})
 	}
 }
 
 // TestShardedV2RoundTrip drives the sharded container through both read
-// paths for both kinds. The v1 serialization of the reloaded index must
-// reproduce the original's v1 bytes — state-for-state equality in one
-// comparison.
+// paths for both kinds. The reloaded index must write the original's v2
+// bytes again — state-for-state equality in one comparison — and serve
+// the same global order and the same box scan.
 func TestShardedV2RoundTrip(t *testing.T) {
 	ctx := context.Background()
-	grid, err := spectrallpm.BuildSharded(ctx, 4, spectrallpm.WithGrid(8, 8), spectrallpm.WithSeed(1), spectrallpm.WithPageSize(4))
+	grid, err := spectrallpm.BuildSharded(ctx, 4, spectrallpm.WithGrid(10, 8), spectrallpm.WithSeed(3), spectrallpm.WithPageSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := spectrallpm.BuildSharded(ctx, 2,
-		spectrallpm.WithPoints([][]int{{0, 0}, {0, 1}, {5, 5}, {5, 6}, {9, 0}}), spectrallpm.WithSeed(3))
+	points, err := spectrallpm.BuildSharded(ctx, 3,
+		spectrallpm.WithPoints([][]int{
+			{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {5, 5}, {5, 6}, {6, 5}, {9, 9},
+		}), spectrallpm.WithSeed(2), spectrallpm.WithPageSize(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +259,17 @@ func TestShardedV2RoundTrip(t *testing.T) {
 	for _, name := range sortedKeys(sharded) {
 		sx := sharded[name]
 		t.Run(name, func(t *testing.T) {
-			var v1 bytes.Buffer
-			if _, err := sx.WriteTo(&v1); err != nil {
+			var v2 bytes.Buffer
+			n, err := sx.WriteToV2(&v2)
+			if err != nil {
 				t.Fatal(err)
 			}
-			var v2 bytes.Buffer
-			if _, err := sx.WriteToV2(&v2); err != nil {
+			if n != int64(v2.Len()) {
+				t.Fatalf("WriteToV2 reported %d bytes, wrote %d", n, v2.Len())
+			}
+			box := spectrallpm.Box{Start: []int{0, 0}, Dims: []int{6, 6}}
+			var want []int
+			if err := sx.ScanInto(box, func(r int, _ []int) bool { want = append(want, r); return true }); err != nil {
 				t.Fatal(err)
 			}
 			check := func(loaded *spectrallpm.ShardedIndex) {
@@ -271,11 +279,11 @@ func TestShardedV2RoundTrip(t *testing.T) {
 						loaded.N(), loaded.NumShards(), sx.N(), sx.NumShards())
 				}
 				var back bytes.Buffer
-				if _, err := loaded.WriteTo(&back); err != nil {
+				if _, err := loaded.WriteToV2(&back); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(back.Bytes(), v1.Bytes()) {
-					t.Error("reloaded sharded index serializes v1 differently")
+				if !bytes.Equal(back.Bytes(), v2.Bytes()) {
+					t.Error("reloaded sharded index serializes differently")
 				}
 				for r := 0; r < sx.N(); r++ {
 					p, err := sx.Point(r)
@@ -289,6 +297,13 @@ func TestShardedV2RoundTrip(t *testing.T) {
 					if rr != r {
 						t.Fatalf("rank of %v = %d, want %d", p, rr, r)
 					}
+				}
+				var got []int
+				if err := loaded.ScanInto(box, func(r int, _ []int) bool { got = append(got, r); return true }); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("loaded scan %v, want %v", got, want)
 				}
 			}
 			read, err := spectrallpm.ReadShardedV2(bytes.NewReader(v2.Bytes()))
@@ -314,21 +329,13 @@ func TestShardedV2RoundTrip(t *testing.T) {
 }
 
 // TestOpenIndexAutoDetect sniffs the magic bytes: a v2 file opens mapped,
-// a v1 file falls back to the JSON reader, and a sharded v2 file is
+// the v1 golden falls back to the JSON importer, and a sharded v2 file is
 // redirected with a useful error.
 func TestOpenIndexAutoDetect(t *testing.T) {
-	ix := buildTestIndex(t, spectrallpm.WithGrid(4, 4), spectrallpm.WithMapping("gray"), spectrallpm.WithPageSize(4))
+	ix := buildTestIndex(t, spectrallpm.WithGrid(4, 4), spectrallpm.WithMapping("hilbert"), spectrallpm.WithPageSize(4))
 	dir := t.TempDir()
 
-	v1path := filepath.Join(dir, "index.v1")
-	f, err := os.Create(v1path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ix.WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	v1path := filepath.Join("testdata", "index_v1_hilbert_4x4.golden")
 	v2path := writeV2File(t, ix)
 
 	byVersion := map[string]string{"v1": v1path, "v2": v2path}
@@ -471,6 +478,18 @@ func FuzzOpenMapped(f *testing.F) {
 		bad2[len(bad2)-1] ^= 0x80 // payload corruption
 		f.Add(bad2)
 	}
+	sharded, err := os.ReadFile(filepath.Join("testdata", shardedGolden))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sharded)
+	f.Add(sharded[:len(sharded)/2]) // truncated mid-frame
+	headerFlip := append([]byte(nil), sharded...)
+	headerFlip[24] ^= 1 // records per page, under the header CRC
+	f.Add(headerFlip)
+	payloadFlip := append([]byte(nil), sharded...)
+	payloadFlip[len(payloadFlip)-1] ^= 0x80 // last shard's payload
+	f.Add(payloadFlip)
 	f.Add([]byte("SLPMIX2\n"))
 	f.Add([]byte("SLPMSX2\n"))
 	f.Add([]byte{})

@@ -46,11 +46,11 @@ func main() {
 	// 4. Persist the solved order and load it back — a server does this at
 	// startup instead of re-running the eigensolve.
 	var file bytes.Buffer
-	n, err := spectral.WriteTo(&file)
+	n, err := spectral.WriteToV2(&file)
 	if err != nil {
 		log.Fatal(err)
 	}
-	served, err := spectrallpm.ReadIndex(&file)
+	served, err := spectrallpm.ReadIndexV2(&file)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,5 +1,7 @@
 package spectrallpm
 
+import "encoding/json"
+
 // Test-only bridges into the v2 decoders so the external test package can
 // drive the zero-copy (borrow=true) validation path on in-memory buffers
 // — the over-read and alignment hazards the fuzzer targets — without
@@ -20,4 +22,34 @@ func SetV2ParallelCutoffForTest(n int) (restore func()) {
 	old := v2ParallelCutoff
 	v2ParallelCutoff = n
 	return func() { v2ParallelCutoff = old }
+}
+
+// EncodeIndexV1ForTest writes ix in the version-1 JSON format that
+// ReadIndex imports. The package itself no longer writes v1; tests use
+// this encoder to produce v1 inputs and to compare imported indexes field
+// for field, and the v1-read benchmark row uses it for its bytes.
+func EncodeIndexV1ForTest(ix *Index) ([]byte, error) {
+	f := indexFileV1{
+		Format:         indexFormat,
+		Version:        indexVersion,
+		Name:           ix.name,
+		Dims:           ix.grid.Dims(),
+		Connectivity:   ix.meta.connectivity,
+		Weights:        ix.meta.weights,
+		Affinity:       ix.meta.affinity,
+		Solver:         ix.meta.solver,
+		Lambda2:        ix.lambda2,
+		RecordsPerPage: ix.pager.RecordsPerPage(),
+	}
+	if ix.mapping != nil {
+		f.Rank = ix.mapping.Ranks()
+	} else {
+		f.Points = &ix.pts
+		f.Rank = ix.rank
+	}
+	data, err := json.Marshal(f)
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
 }

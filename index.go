@@ -32,10 +32,10 @@ const DefaultRecordsPerPage = 64
 // any curve mapping) and then consulted for every query against the
 // storage medium.
 //
-// An Index is immutable after Build or ReadIndex returns: every method is
+// An Index is immutable after Build or any reader returns: every method is
 // read-only and safe for concurrent use by any number of goroutines
-// without external locking. Persist a built index with WriteTo and load it
-// at server startup with ReadIndex — no re-solve needed.
+// without external locking. Persist a built index with WriteToV2 and serve
+// it at server startup with OpenIndex — no re-solve needed.
 //
 // An Index covers either a full grid (every point of WithGrid's grid) or
 // an arbitrary point set (WithPoints). Both expose the same serving
@@ -569,7 +569,8 @@ func (ix *Index) Lambda2() []float64 { return append([]float64(nil), ix.lambda2.
 
 // Solver reports how a spectral order was computed: SolverClosedForm for
 // the analytic default-grid fast path, "" for an eigensolve (or for
-// mappings that run no solve). The value persists through WriteTo/ReadIndex.
+// mappings that run no solve). The value persists through WriteToV2 and
+// every reader.
 func (ix *Index) Solver() string { return ix.meta.solver }
 
 // RecordsPerPage returns the page capacity backing Pages and QueryIO.

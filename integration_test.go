@@ -24,15 +24,9 @@ func TestEndToEndPipeline(t *testing.T) {
 	for _, name := range []string{"spectral", "hilbert", "sweep"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			m, err := spectrallpm.NewMapping(name, grid, spectrallpm.SpectralConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			store, err := spectrallpm.NewStore(m, pageSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assign, err := decluster.RoundRobin(store.Pager().NumPages(), disks)
+			ix := buildTestIndex(t, spectrallpm.WithGrid(side, side), spectrallpm.WithMapping(name), spectrallpm.WithPageSize(pageSize))
+			m := ix.Mapping()
+			assign, err := decluster.RoundRobin(ix.NumPages(), disks)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,13 +48,13 @@ func TestEndToEndPipeline(t *testing.T) {
 				ids := workload.IDsInBox(grid, box)
 
 				// 1. Storage accounting.
-				io, err := store.BoxQueryIO(box)
+				io, err := ix.QueryIO(box)
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Distinct result pages can never exceed result count or
 				// total pages, and the span bounds the page count.
-				if io.Pages > len(ids) || io.Pages > store.Pager().NumPages() {
+				if io.Pages > len(ids) || io.Pages > ix.NumPages() {
 					t.Fatalf("box %+v: implausible Pages %d", box, io.Pages)
 				}
 				if io.SpanPages < io.Pages {
@@ -101,11 +95,7 @@ func TestEndToEndPipeline(t *testing.T) {
 				// the per-disk maximum.
 				pages := map[int]bool{}
 				for _, r := range ranks {
-					pg, err := store.Pager().Page(r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					pages[pg] = true
+					pages[r/ix.RecordsPerPage()] = true
 				}
 				list := make([]int, 0, len(pages))
 				for p := range pages {
@@ -130,10 +120,7 @@ func TestMappingsAgreeOnGlobalInvariants(t *testing.T) {
 	grid := spectrallpm.MustGrid(6, 6)
 	n := grid.Size()
 	for _, name := range append(spectrallpm.StandardMappings(), "snake", "morton") {
-		m, err := spectrallpm.NewMapping(name, grid, spectrallpm.SpectralConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		m := buildTestIndex(t, spectrallpm.WithGrid(6, 6), spectrallpm.WithMapping(name)).Mapping()
 		// Sum of all ranks is fixed: n(n-1)/2.
 		sum := 0
 		for id := 0; id < n; id++ {
@@ -171,7 +158,7 @@ func TestSolverMethodsProduceEquallyOptimalOrders(t *testing.T) {
 	g := spectrallpm.GridGraph(grid, spectrallpm.Orthogonal)
 	var costs []float64
 	for _, method := range []spectrallpm.SolverMethod{
-		spectrallpm.MethodDense, spectrallpm.MethodLanczos, spectrallpm.MethodInversePower,
+		spectrallpm.MethodDense, spectrallpm.MethodInversePower, spectrallpm.MethodMultilevel,
 	} {
 		opt := spectrallpm.Options{}
 		opt.Solver.Method = method

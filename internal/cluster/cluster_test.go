@@ -192,25 +192,30 @@ func fullTopology(workers []*worker, shards, nReplicas int) *Topology {
 	return topo
 }
 
+// invalidTopologies are topology documents ParseTopology must reject.
+var invalidTopologies = []struct {
+	name string
+	doc  string
+}{
+	{"no_shards", `{"shards":[]}`},
+	{"gap", `{"shards":[{"shard":0,"replicas":["a"]},{"shard":2,"replicas":["b"]}]}`},
+	{"dup_shard", `{"shards":[{"shard":0,"replicas":["a"]},{"shard":0,"replicas":["b"]}]}`},
+	{"no_replicas", `{"shards":[{"shard":0,"replicas":[]}]}`},
+	{"empty_addr", `{"shards":[{"shard":0,"replicas":[""]}]}`},
+	{"dup_addr", `{"shards":[{"shard":0,"replicas":["a","a"]}]}`},
+	{"negative", `{"shards":[{"shard":-1,"replicas":["a"]}]}`},
+}
+
+// validTopology lists its shards out of order, one with two replicas.
+const validTopology = `{"shards":[{"shard":1,"replicas":["b"]},{"shard":0,"replicas":["a1","a2"]}]}`
+
 func TestTopologyValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-	}{
-		{"no_shards", `{"shards":[]}`},
-		{"gap", `{"shards":[{"shard":0,"replicas":["a"]},{"shard":2,"replicas":["b"]}]}`},
-		{"dup_shard", `{"shards":[{"shard":0,"replicas":["a"]},{"shard":0,"replicas":["b"]}]}`},
-		{"no_replicas", `{"shards":[{"shard":0,"replicas":[]}]}`},
-		{"empty_addr", `{"shards":[{"shard":0,"replicas":[""]}]}`},
-		{"dup_addr", `{"shards":[{"shard":0,"replicas":["a","a"]}]}`},
-		{"negative", `{"shards":[{"shard":-1,"replicas":["a"]}]}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidTopologies {
 		if _, err := ParseTopology([]byte(tc.doc)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	topo, err := ParseTopology([]byte(`{"shards":[{"shard":1,"replicas":["b"]},{"shard":0,"replicas":["a1","a2"]}]}`))
+	topo, err := ParseTopology([]byte(validTopology))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,6 +226,56 @@ func TestTopologyValidate(t *testing.T) {
 	if !reflect.DeepEqual(by[0], []string{"a1", "a2"}) || !reflect.DeepEqual(by[1], []string{"b"}) {
 		t.Fatalf("byShard = %v", by)
 	}
+}
+
+// FuzzParseTopology feeds the router's topology parser arbitrary bytes.
+// It must never panic, and every topology it accepts must be a complete
+// layout — shard ids exactly 0..k-1, every shard with distinct non-empty
+// replica addresses — that marshals back to a document parsing to the
+// same value.
+func FuzzParseTopology(f *testing.F) {
+	for _, tc := range invalidTopologies {
+		f.Add([]byte(tc.doc))
+	}
+	f.Add([]byte(validTopology))
+	f.Add([]byte(`{"shards":[{"shard":0,"replicas":["10.0.0.1:8081","10.0.0.2:8081"]},{"shard":1,"replicas":["10.0.0.3:8081"]}]}`))
+	f.Add([]byte(`{"shards":[{"shard":0,"replicas":["a"],"shard":1}]}`))
+	f.Add([]byte("not json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		topo, err := ParseTopology(data)
+		if err != nil {
+			return
+		}
+		k := topo.NumShards()
+		seen := make([]bool, k)
+		for _, s := range topo.Shards {
+			if s.Shard < 0 || s.Shard >= k || seen[s.Shard] {
+				t.Fatalf("accepted shard id %d among %d shards twice or out of range", s.Shard, k)
+			}
+			seen[s.Shard] = true
+			if len(s.Replicas) == 0 {
+				t.Fatalf("accepted shard %d without replicas", s.Shard)
+			}
+			addrs := map[string]bool{}
+			for _, addr := range s.Replicas {
+				if addr == "" || addrs[addr] {
+					t.Fatalf("accepted shard %d with replicas %q", s.Shard, s.Replicas)
+				}
+				addrs[addr] = true
+			}
+		}
+		doc, err := json.Marshal(topo)
+		if err != nil {
+			t.Fatalf("accepted topology does not marshal: %v", err)
+		}
+		again, err := ParseTopology(doc)
+		if err != nil {
+			t.Fatalf("re-marshalled topology %s rejected: %v", doc, err)
+		}
+		if !reflect.DeepEqual(again, topo) {
+			t.Fatalf("re-marshalled topology parses to %+v, want %+v", again, topo)
+		}
+	})
 }
 
 // TestRouterOracleGrid pins the full distributed surface — box, pages,

@@ -3,6 +3,7 @@ package eigen
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"github.com/spectral-lpm/spectrallpm/internal/la"
@@ -20,8 +21,6 @@ const (
 	// for graph Laplacians: the smallest nonzero eigenvalue is extremal in
 	// the deflated space and each outer step contracts error by λ₂/λ₃.
 	MethodInversePower
-	// MethodLanczos runs Lanczos with full reorthogonalization.
-	MethodLanczos
 	// MethodDense densifies the operator and runs the Jacobi solver;
 	// intended for n up to a few hundred and for cross-validation.
 	MethodDense
@@ -47,8 +46,6 @@ func (m Method) String() string {
 		return "auto"
 	case MethodInversePower:
 		return "inverse-power"
-	case MethodLanczos:
-		return "lanczos"
 	case MethodDense:
 		return "dense-jacobi"
 	case MethodMultilevel:
@@ -61,7 +58,7 @@ func (m Method) String() string {
 }
 
 // ParseMethod resolves a solver name from flags and configs: "auto",
-// "exact", "multilevel", "inverse-power", "lanczos", "dense" (aliases
+// "exact", "multilevel", "inverse-power", "dense" (aliases
 // "dense-jacobi", "jacobi").
 func ParseMethod(s string) (Method, error) {
 	switch s {
@@ -73,12 +70,10 @@ func ParseMethod(s string) (Method, error) {
 		return MethodMultilevel, nil
 	case "inverse-power", "inversepower", "ip":
 		return MethodInversePower, nil
-	case "lanczos":
-		return MethodLanczos, nil
 	case "dense", "dense-jacobi", "jacobi":
 		return MethodDense, nil
 	default:
-		return MethodAuto, fmt.Errorf("eigen: unknown solver method %q (want auto|exact|multilevel|inverse-power|lanczos|dense)", s)
+		return MethodAuto, fmt.Errorf("eigen: unknown solver method %q (want auto|exact|multilevel|inverse-power|dense)", s)
 	}
 }
 
@@ -89,8 +84,8 @@ type Options struct {
 	// Tol is the relative residual target ||L x - λ x|| <= Tol*||L||.
 	// Defaults to 1e-9.
 	Tol float64
-	// MaxIter caps outer iterations (inverse power) or Krylov dimension
-	// (Lanczos). 0 picks a solver-specific default.
+	// MaxIter caps the outer iterations of inverse power (and of the
+	// block iteration behind SmallestK). 0 picks the default of 200.
 	MaxIter int
 	// Seed makes the randomized starts deterministic. Same seed, same
 	// result.
@@ -103,7 +98,7 @@ type Options struct {
 	// (MultilevelFiedler / internal/core). Defaults to 8192.
 	MultilevelCutoff int
 	// Parallelism sets the goroutine count of the sparse kernels (matrix-
-	// vector products, dots, axpys) inside CG, Lanczos, and inverse power:
+	// vector products, dots, axpys) inside CG and inverse power:
 	// 0 uses all of GOMAXPROCS, 1 forces the serial path (bit-identical to
 	// the historical kernels), k uses k workers. Small problems run
 	// serially regardless.
@@ -161,8 +156,8 @@ type Result struct {
 	// Vector is the unit Fiedler eigenvector, orthogonal to the all-ones
 	// vector, with its largest-magnitude entry made positive.
 	Vector []float64
-	// Iterations counts outer iterations (inverse power), Krylov steps
-	// (Lanczos), or sweeps (dense).
+	// Iterations counts outer iterations (inverse power), or 1 for the
+	// dense solve.
 	Iterations int
 	// Method is the solver that actually ran.
 	Method Method
@@ -187,8 +182,6 @@ func Fiedler(op Operator, opt Options) (Result, error) {
 	switch method := opt.Resolve(n, false); method {
 	case MethodDense:
 		return fiedlerDense(op, opt)
-	case MethodLanczos:
-		return fiedlerLanczos(op, opt)
 	case MethodInversePower:
 		return fiedlerInversePower(op, opt)
 	default:
@@ -212,22 +205,6 @@ func fiedlerDense(op Operator, opt Options) (Result, error) {
 	canonicalizeSign([][]float64{v})
 	res := residual(op, v, vals[1])
 	return Result{Value: vals[1], Vector: v, Iterations: 1, Method: MethodDense, Residual: res}, nil
-}
-
-func fiedlerLanczos(op Operator, opt Options) (Result, error) {
-	n := op.Dim()
-	vals, vecs, err := LanczosSmallest(op, 1, LanczosOptions{
-		MaxIter: opt.MaxIter,
-		Tol:     opt.Tol,
-		Seed:    opt.Seed,
-		Deflate: [][]float64{la.UnitOnes(n)},
-		Workers: opt.Parallelism,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	res := residual(op, vecs[0], vals[0])
-	return Result{Value: vals[0], Vector: vecs[0], Iterations: opt.MaxIter, Method: MethodLanczos, Residual: res}, nil
 }
 
 func fiedlerInversePower(op Operator, opt Options) (Result, error) {
@@ -301,6 +278,32 @@ func inversePowerFrom(op Operator, opt Options, x0 []float64, cgTol float64) (Re
 			ErrNoConvergence, res, maxIter, opt.Tol*scale)
 }
 
+// ErrNoConvergence is returned when an iterative eigensolver exceeds its
+// iteration budget before meeting its tolerance.
+var ErrNoConvergence = errors.New("eigen: no convergence within iteration budget")
+
+// canonicalizeSign flips each eigenvector so its largest-magnitude entry is
+// positive, giving deterministic output across solvers.
+func canonicalizeSign(vecs [][]float64) {
+	for _, v := range vecs {
+		var maxAbs float64
+		var sign float64 = 1
+		for _, x := range v {
+			if a := math.Abs(x); a > maxAbs {
+				maxAbs = a
+				if x < 0 {
+					sign = -1
+				} else {
+					sign = 1
+				}
+			}
+		}
+		if sign < 0 {
+			la.Scale(-1, v)
+		}
+	}
+}
+
 // residual returns ||op(x) - lambda x||.
 func residual(op Operator, x []float64, lambda float64) float64 {
 	y := make([]float64, len(x))
@@ -312,8 +315,8 @@ func residual(op Operator, x []float64, lambda float64) float64 {
 // SmallestK computes the k smallest eigenpairs of a connected graph
 // Laplacian beyond the deflated all-ones null space — the spectral embedding
 // used for multi-dimensional spectral layouts and recursive bisection. It
-// uses block inverse-power iteration with a Rayleigh-Ritz projection
-// (MethodInversePower/Auto) or Lanczos. vecs[j] is the unit eigenvector for
+// uses block inverse-power iteration with a Rayleigh-Ritz projection, or
+// the dense solver on small problems. vecs[j] is the unit eigenvector for
 // vals[j], j = 0 corresponding to λ₂.
 func SmallestK(op Operator, k int, opt Options) (vals []float64, vecs [][]float64, err error) {
 	opt = opt.withDefaults()
@@ -339,11 +342,6 @@ func SmallestK(op Operator, k int, opt Options) (vals []float64, vecs [][]float6
 		}
 		canonicalizeSign(vecs)
 		return vals, vecs, nil
-	case MethodLanczos:
-		return LanczosSmallest(op, k, LanczosOptions{
-			MaxIter: opt.MaxIter, Tol: opt.Tol, Seed: opt.Seed, Deflate: deflate,
-			Workers: opt.Parallelism,
-		})
 	case MethodInversePower:
 		return smallestKBlock(op, k, opt, deflate)
 	default:

@@ -186,7 +186,7 @@ func TestResolveMethodSelection(t *testing.T) {
 		{Options{Method: MethodExact}, 50, true, MethodDense},
 		{Options{Method: MethodMultilevel}, 500, true, MethodMultilevel},
 		{Options{Method: MethodMultilevel}, 500, false, MethodInversePower},
-		{Options{Method: MethodLanczos}, 10000, true, MethodLanczos},
+		{Options{Method: MethodDense}, 10000, true, MethodDense},
 		{Options{MultilevelCutoff: 100}, 200, true, MethodMultilevel},
 	}
 	for i, tc := range cases {
@@ -200,16 +200,17 @@ func TestParseMethod(t *testing.T) {
 	for s, want := range map[string]Method{
 		"auto": MethodAuto, "": MethodAuto, "exact": MethodExact,
 		"multilevel": MethodMultilevel, "ml": MethodMultilevel,
-		"inverse-power": MethodInversePower, "lanczos": MethodLanczos,
-		"dense": MethodDense, "jacobi": MethodDense,
+		"inverse-power": MethodInversePower, "dense": MethodDense, "jacobi": MethodDense,
 	} {
 		got, err := ParseMethod(s)
 		if err != nil || got != want {
 			t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseMethod("nope"); err == nil {
-		t.Error("unknown method accepted")
+	for _, s := range []string{"nope", "lanczos"} {
+		if _, err := ParseMethod(s); err == nil {
+			t.Errorf("unknown method %q accepted", s)
+		}
 	}
 	for _, m := range []Method{MethodMultilevel, MethodExact} {
 		back, err := ParseMethod(m.String())

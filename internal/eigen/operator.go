@@ -1,10 +1,10 @@
 // Package eigen implements the symmetric eigensolvers Spectral LPM needs:
-// an implicit-shift QL solver for tridiagonal matrices, a cyclic Jacobi
-// solver for small dense matrices, Lanczos with full reorthogonalization for
-// sparse matrices, and the primary production path for Fiedler vectors —
-// deflated inverse-power iteration with projected conjugate-gradient inner
-// solves. The package is self-contained (stdlib only) and cross-validated
-// against closed-form graph spectra in its tests.
+// a cyclic Jacobi solver for small dense matrices, the production path for
+// Fiedler vectors — deflated inverse-power iteration with projected
+// conjugate-gradient inner solves — and a multilevel driver that coarsens
+// large graphs and refines with warm-started inverse power. Options.Resolve
+// dispatches among them. The package is self-contained (stdlib only) and
+// cross-validated against closed-form graph spectra in its tests.
 package eigen
 
 import (

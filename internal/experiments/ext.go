@@ -315,7 +315,7 @@ func ExtSolvers(cfg Config) ([]SolverRow, error) {
 	for _, side := range []int{12, 24, 48} {
 		g := graph.GridGraph(graph.MustGrid(side, side), graph.Orthogonal)
 		op := eigen.CSROperator{M: g.Laplacian(), Workers: cfg.Solver.Parallelism}
-		methods := []eigen.Method{eigen.MethodInversePower, eigen.MethodLanczos, eigen.MethodMultilevel}
+		methods := []eigen.Method{eigen.MethodInversePower, eigen.MethodMultilevel}
 		if side <= 12 {
 			methods = append(methods, eigen.MethodDense)
 		}

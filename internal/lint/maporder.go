@@ -8,10 +8,10 @@ import (
 )
 
 // MapOrder flags range statements over maps in the code that must be
-// byte-stable or rank-deterministic: the codec files (codec*.go,
-// shard_codec*.go and the root shard*/query* files feeding ordered
-// assertions) and the ordering packages (internal/core, internal/order,
-// internal/shard). Go randomizes map iteration order on purpose; an
+// byte-stable or rank-deterministic: the root package's codec*.go files
+// and its shard*/query* files (the sharded codec and the files feeding
+// ordered assertions), and the ordering packages (internal/core,
+// internal/order, internal/shard). Go randomizes map iteration order on purpose; an
 // unordered range in a codec path silently breaks the golden files, and
 // in an ordering path it breaks the determinism the closed-form/solver
 // rank pinning depends on.

@@ -321,6 +321,32 @@ func TestServeSharded(t *testing.T) {
 	}
 }
 
+// TestServeV1Golden: Open still serves an index file in the v1 JSON
+// format, and answers a box exactly as it does from the v2 file of the
+// same index.
+func TestServeV1Golden(t *testing.T) {
+	for name, box := range map[string]string{
+		"hilbert_4x4": `{"start":[0,0],"dims":[4,4]}`,
+		"points_k2":   `{"start":[0,0],"dims":[1,2]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			var bodies []string
+			for _, version := range []string{"v1", "v2"} {
+				path := filepath.Join("..", "..", "testdata", "index_"+version+"_"+name+".golden")
+				s := newTestServer(t, path, nil)
+				w := post(t, s, "/v1/box", box)
+				if w.Code != http.StatusOK || strings.Contains(w.Body.String(), `"count":0`) {
+					t.Fatalf("%s: status %d body %q", version, w.Code, w.Body)
+				}
+				bodies = append(bodies, w.Body.String())
+			}
+			if bodies[0] != bodies[1] {
+				t.Errorf("v1 box body differs from v2:\n v1: %s\n v2: %s", bodies[0], bodies[1])
+			}
+		})
+	}
+}
+
 // TestReloadCorruptRejected flips bytes in the served file and SIGHUPs (via
 // Reload): the replacement must be rejected while the old index keeps
 // serving, generation unchanged.

@@ -32,8 +32,9 @@ import (
 // Serving mirrors Index: a box query is routed only to the shards whose
 // bounding boxes intersect it (the planner), each intersected shard
 // answers from its own engine, and the per-shard rank streams merge into
-// global rank order. A ShardedIndex is immutable after BuildSharded or
-// ReadSharded returns and safe for concurrent use without locking.
+// global rank order. A ShardedIndex is immutable after BuildSharded,
+// ReadShardedV2 or OpenMappedSharded returns and safe for concurrent use
+// without locking.
 type ShardedIndex struct {
 	grid   *graph.Grid // global bounding grid
 	shards []*Index
@@ -629,7 +630,7 @@ func (e shardEngine) D() int                { return e.sx.grid.D() }
 func (e shardEngine) Parallelism() int      { return e.sx.par }
 
 // initCore arms the shared serving core — the last step of finishSharded
-// on every construction path (BuildSharded, ReadSharded, OpenMappedSharded)
+// on every construction path (BuildSharded, ReadShardedV2, OpenMappedSharded)
 // and of Scope. OpenMappedSharded re-arms it after attaching the shared
 // lifecycle; a Scope view arms it over the parent's lifecycle.
 func (sx *ShardedIndex) initCore() {

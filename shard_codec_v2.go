@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"github.com/spectral-lpm/spectrallpm/internal/graph"
 	"github.com/spectral-lpm/spectrallpm/internal/serve"
@@ -18,6 +19,19 @@ import (
 // one shard beyond the output itself. Congruent grid shards share one
 // *Index in memory; on disk each shard still gets its own (identical)
 // frame, keeping frame slicing trivial for the reader.
+//
+// The reader treats the file as adversarial: beyond each frame's own v2
+// validation it checks that the table and the frames agree (record counts,
+// page sizes, shard kind), that grid shards tile the declared global grid
+// exactly — pairwise-disjoint cells whose volumes sum to the grid size —
+// and that point shards stay inside the global bounding box and never
+// declare the same point twice across shards. Violations return errors
+// matching ErrCorruptIndex.
+
+// maxShardCount bounds the per-shard table an untrusted header can make the
+// reader allocate and the O(shards²) tiling check it can make the reader
+// run.
+const maxShardCount = 4096
 
 // WriteToV2 serializes the sharded index in the version-2 binary format,
 // deterministically, streaming shard frames one at a time.
@@ -83,8 +97,8 @@ func errShardedV2(format string, args ...any) error {
 }
 
 // decodeShardedV2 decodes (or adopts in place) a sharded v2 container,
-// applying the same cross-shard hardening as the v1 reader: header/frame
-// agreement, exact grid tiling, and point-shard disjointness.
+// applying the cross-shard hardening: header/frame agreement, exact grid
+// tiling, and point-shard disjointness.
 func decodeShardedV2(data []byte, borrow bool) (*ShardedIndex, error) {
 	if len(data) < v2ShardedHeaderSize {
 		return nil, errShardedV2("%d bytes is shorter than the header", len(data))
@@ -131,7 +145,8 @@ func decodeShardedV2(data []byte, borrow bool) (*ShardedIndex, error) {
 		return nil, fmt.Errorf("spectrallpm: sharded v2 index dims: %w (%w)", err, ErrCorruptIndex)
 	}
 	// Bound the record totals by the global grid before decoding any
-	// frame, exactly as the v1 reader does.
+	// frame: distinct points on the bounding grid cannot outnumber its
+	// cells, so the running total also cannot overflow.
 	total := 0
 	for i, rec := range records {
 		if rec < 1 {
@@ -241,4 +256,87 @@ func OpenMappedSharded(path string) (*ShardedIndex, error) {
 		sx.closeFn = unmap
 	}
 	return sx, nil
+}
+
+// shardPlacement derives one shard's bounding box and coordinate
+// translation from its declared origin (nil for point shards) and its
+// loaded index, validating it against the global grid.
+func shardPlacement(grid *graph.Grid, declaredOrigin []int, ix *Index, points bool) (lo, hi, origin []int, err error) {
+	d := grid.D()
+	dims := grid.Dims()
+	shardDims := ix.grid.Dims()
+	if len(shardDims) != d {
+		return nil, nil, nil, fmt.Errorf("shard arity %d, global %d: %w", len(shardDims), d, ErrCorruptIndex)
+	}
+	if points {
+		if declaredOrigin != nil {
+			return nil, nil, nil, fmt.Errorf("point shard declares an origin: %w", ErrCorruptIndex)
+		}
+		for j, s := range shardDims {
+			if s > dims[j] {
+				return nil, nil, nil, fmt.Errorf("shard bounding grid %v exceeds global %v: %w", shardDims, dims, ErrCorruptIndex)
+			}
+		}
+		lo, hi = pointBounds(ix.pts, d)
+		return lo, hi, make([]int, d), nil
+	}
+	if len(declaredOrigin) != d {
+		return nil, nil, nil, fmt.Errorf("grid shard origin arity %d, want %d: %w", len(declaredOrigin), d, ErrCorruptIndex)
+	}
+	lo = append([]int(nil), declaredOrigin...)
+	hi = make([]int, d)
+	for j := range hi {
+		if lo[j] < 0 || lo[j]+shardDims[j] > dims[j] {
+			return nil, nil, nil, fmt.Errorf("shard cell %v+%v exceeds grid %v: %w", lo, shardDims, dims, ErrCorruptIndex)
+		}
+		hi[j] = lo[j] + shardDims[j] - 1
+	}
+	return lo, hi, lo, nil
+}
+
+// checkGridShardsTile verifies the loaded cells partition the global grid
+// exactly: volumes sum to the grid size and no two cells overlap. Together
+// those two facts imply a perfect tiling — every cell is covered exactly
+// once — which Rank and the query planner rely on.
+func checkGridShardsTile(grid *graph.Grid, sx *ShardedIndex, total int) error {
+	if total != grid.Size() {
+		return fmt.Errorf("spectrallpm: shards hold %d records, grid has %d points: %w", total, grid.Size(), ErrCorruptIndex)
+	}
+	for i := range sx.shards {
+		for j := i + 1; j < len(sx.shards); j++ {
+			overlap := true
+			for a := range sx.lo[i] {
+				if sx.lo[i][a] > sx.hi[j][a] || sx.lo[j][a] > sx.hi[i][a] {
+					overlap = false
+					break
+				}
+			}
+			if overlap {
+				return fmt.Errorf("spectrallpm: shards %d and %d overlap: %w", i, j, ErrCorruptIndex)
+			}
+		}
+	}
+	return nil
+}
+
+// checkPointShardsDisjoint rejects files where two shards declare the same
+// point — the planner would double-report it and Rank would be ambiguous.
+func checkPointShardsDisjoint(grid *graph.Grid, shards []*Index) error {
+	total := 0
+	for _, ix := range shards {
+		total += ix.N()
+	}
+	ids := make([]int, 0, total)
+	for _, ix := range shards {
+		for _, p := range ix.pts {
+			ids = append(ids, grid.ID(p))
+		}
+	}
+	slices.Sort(ids)
+	for k := 1; k < len(ids); k++ {
+		if ids[k] == ids[k-1] {
+			return fmt.Errorf("spectrallpm: the same point appears in two shards: %w", ErrCorruptIndex)
+		}
+	}
+	return nil
 }

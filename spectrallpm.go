@@ -28,9 +28,10 @@
 // (edge weights, affinity edges from access patterns, 8-connectivity)
 // are the WithEdgeWeights, WithAffinity, and WithConnectivity options.
 //
-// An Index is immutable, goroutine-safe, and persistable: WriteTo saves
-// the solved order in a versioned format and ReadIndex loads it at server
-// startup without re-solving.
+// An Index is immutable, goroutine-safe, and persistable: WriteToV2 saves
+// the solved order in the mmap-able binary format and OpenIndex serves it
+// at server startup without re-solving (ReadIndex still imports files in
+// the older JSON format).
 //
 // The graph-level functions (PointGraph, SpectralOrder, Bisect,
 // KWayPartition) remain first-class for partitioning and analysis
@@ -99,10 +100,6 @@ const (
 // Mapping is a bijection between grid points and 1-D ranks.
 type Mapping = order.Mapping
 
-// SpectralConfig tunes spectral mappings (connectivity, weights, affinity
-// edges, solver).
-type SpectralConfig = order.SpectralConfig
-
 // AffinityEdge expresses that two points should map near each other
 // (paper §4).
 type AffinityEdge = order.AffinityEdge
@@ -140,8 +137,6 @@ const (
 	// MethodInversePower is deflated inverse-power iteration with
 	// conjugate-gradient inner solves (the production path).
 	MethodInversePower = eigen.MethodInversePower
-	// MethodLanczos is Lanczos with full reorthogonalization.
-	MethodLanczos = eigen.MethodLanczos
 	// MethodDense densifies and runs the Jacobi reference solver.
 	MethodDense = eigen.MethodDense
 	// MethodMultilevel coarsens the graph by heavy-edge matching, solves
@@ -157,7 +152,7 @@ const (
 )
 
 // ParseSolverMethod resolves a solver name ("auto", "exact", "multilevel",
-// "inverse-power", "lanczos", "dense") for flags and configs.
+// "inverse-power", "dense") for flags and configs.
 func ParseSolverMethod(s string) (SolverMethod, error) { return eigen.ParseMethod(s) }
 
 // Curve is a space-filling curve with forward (Index) and inverse (Coords)
@@ -166,9 +161,6 @@ type Curve = sfc.Curve
 
 // Box is an axis-aligned range query.
 type Box = workload.Box
-
-// Store couples a mapping with a paged-storage simulator.
-type Store = storage.Store
 
 // IOStats is the simulated disk cost of one query.
 type IOStats = storage.IOStats
@@ -224,40 +216,6 @@ func LinearArrangementCost(g *Graph, rank []int) (float64, error) {
 
 // Bisect spectrally bisects a graph at the median of the spectral order.
 func Bisect(g *Graph, opt Options) (left, right []int, err error) { return core.Bisect(g, opt) }
-
-// NewMapping builds a mapping by name over a grid: "spectral" runs Spectral
-// LPM with cfg; curve names use the smallest covering curve of that family.
-//
-// Deprecated: use Build with WithGrid and WithMapping, which adds
-// concurrency-safe serving, batching, and persistence on top of the same
-// order. NewMapping remains as a thin wrapper for existing callers.
-func NewMapping(name string, g *Grid, cfg SpectralConfig) (*Mapping, error) {
-	return order.New(name, g, cfg)
-}
-
-// SpectralMapping runs Spectral LPM over a grid graph and wraps the result
-// as a Mapping.
-//
-// Deprecated: use Build with WithGrid (spectral is the default mapping);
-// WithConnectivity, WithEdgeWeights, WithAffinity, and WithSolver cover
-// everything SpectralConfig does.
-func SpectralMapping(g *Grid, cfg SpectralConfig) (*Mapping, error) {
-	return order.FromSpectral(g, cfg)
-}
-
-// CurveMapping ranks grid points by their index on the given curve
-// (compacting when the curve's cube exceeds the grid).
-//
-// Deprecated: use Build with WithGrid and WithMapping(name), which
-// constructs the smallest covering curve itself.
-func CurveMapping(g *Grid, c Curve) (*Mapping, error) { return order.FromCurve(g, c) }
-
-// MappingFromRanks wraps a precomputed rank permutation.
-//
-// Deprecated: use Build with WithGrid and WithRanks.
-func MappingFromRanks(name string, g *Grid, rank []int) (*Mapping, error) {
-	return order.FromRanks(name, g, rank)
-}
 
 // StandardMappings lists the mapping names the paper's experiments compare.
 func StandardMappings() []string { return order.StandardNames() }
@@ -330,12 +288,4 @@ func PartitionEdgeCut(g *Graph, labels []int) (float64, error) {
 // PartitionLabels flattens parts into per-vertex labels.
 func PartitionLabels(parts [][]int, n int) ([]int, error) {
 	return partition.Labels(parts, n)
-}
-
-// NewStore lays a mapping's points on fixed-size pages for I/O simulation.
-//
-// Deprecated: use Build with WithPageSize; Index.Pages and Index.QueryIO
-// replace Store.BoxQueryIO with a concurrency-safe, persistable surface.
-func NewStore(m *Mapping, recordsPerPage int) (*Store, error) {
-	return storage.NewStore(m, recordsPerPage)
 }

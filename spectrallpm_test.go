@@ -10,11 +10,7 @@ import (
 // TestFacadeQuickstart exercises the README's quick-start path end to end
 // through the public API only.
 func TestFacadeQuickstart(t *testing.T) {
-	grid := spectrallpm.MustGrid(8, 8)
-	m, err := spectrallpm.NewMapping("spectral", grid, spectrallpm.SpectralConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := buildTestIndex(t, spectrallpm.WithGrid(8, 8)).Mapping()
 	if m.N() != 64 {
 		t.Fatalf("N = %d", m.N())
 	}
@@ -72,16 +68,15 @@ func TestFacadeCurvesAndStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid := spectrallpm.MustGrid(8, 8)
-	m, err := spectrallpm.CurveMapping(grid, h)
-	if err != nil {
-		t.Fatal(err)
+	ix := buildTestIndex(t, spectrallpm.WithGrid(8, 8), spectrallpm.WithMapping("hilbert"), spectrallpm.WithPageSize(4))
+	m := ix.Mapping()
+	for id := 0; id < m.N(); id++ {
+		coords := m.Grid().Coords(id, nil)
+		if got, want := m.Rank(id), h.Index(coords); uint64(got) != want {
+			t.Fatalf("vertex %d: rank %d, curve index %d", id, got, want)
+		}
 	}
-	store, err := spectrallpm.NewStore(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io, err := store.BoxQueryIO(spectrallpm.Box{Start: []int{0, 0}, Dims: []int{2, 2}})
+	io, err := ix.QueryIO(spectrallpm.Box{Start: []int{0, 0}, Dims: []int{2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,12 +105,8 @@ func TestFacadeBisectAndCosts(t *testing.T) {
 }
 
 func TestFacadeStandardMappingsAll(t *testing.T) {
-	grid := spectrallpm.MustGrid(5, 5)
 	for _, name := range spectrallpm.StandardMappings() {
-		m, err := spectrallpm.NewMapping(name, grid, spectrallpm.SpectralConfig{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		m := buildTestIndex(t, spectrallpm.WithGrid(5, 5), spectrallpm.WithMapping(name)).Mapping()
 		if m.N() != 25 {
 			t.Fatalf("%s: N=%d", name, m.N())
 		}
@@ -123,11 +114,7 @@ func TestFacadeStandardMappingsAll(t *testing.T) {
 }
 
 func TestFacadePartialRangeSpanAndPairwise(t *testing.T) {
-	grid := spectrallpm.MustGrid(6, 6)
-	m, err := spectrallpm.NewMapping("hilbert", grid, spectrallpm.SpectralConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := buildTestIndex(t, spectrallpm.WithGrid(6, 6), spectrallpm.WithMapping("hilbert")).Mapping()
 	ps, err := spectrallpm.PartialRangeSpan(m, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,14 +138,10 @@ func TestFacadePartialRangeSpanAndPairwise(t *testing.T) {
 
 func TestFacadeSolverOptionsPlumbing(t *testing.T) {
 	grid := spectrallpm.MustGrid(10, 10)
-	m, err := spectrallpm.SpectralMapping(grid, spectrallpm.SpectralConfig{
-		Solver: spectrallpm.SolverOptions{Method: spectrallpm.MethodLanczos, Seed: 9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.N() != 100 {
-		t.Fatal("bad mapping")
+	ix := buildTestIndex(t, spectrallpm.WithGrid(10, 10),
+		spectrallpm.WithSolver(spectrallpm.SolverOptions{Method: spectrallpm.MethodDense, Seed: 9}))
+	if ix.N() != 100 || ix.Solver() != "" {
+		t.Fatalf("bad index: N=%d solver=%q", ix.N(), ix.Solver())
 	}
 	// Ranks via different solvers must induce equally optimal assignments
 	// (possibly different orders on the degenerate eigenspace, but the
