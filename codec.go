@@ -12,13 +12,13 @@ import (
 )
 
 // The version-1 index format, which this package reads but does not write
-// (WriteToV2 is the one writer): a single JSON object, one line,
-// with a format tag and an explicit version so readers can reject files
-// from the future. Version 1 carries the mapping name, the grid
-// dimensions, the connectivity/weights/solver provenance of spectral
-// orders ("solver" is "closed-form" for the analytic default-grid path and
-// absent for an eigensolve), per-component λ₂, the page size, the point
-// set (point-set indexes only), and the rank permutation.
+// (WriteToV2 is the one writer): a single JSON object, one line, with a
+// format tag and an explicit version so readers can reject files from the
+// future. Version 1 carries the mapping name, the grid dimensions, the
+// connectivity/weights/solver provenance of spectral orders ("solver" is
+// "closed-form" for the analytic default-grid path and absent for an
+// eigensolve), per-component λ₂, the page size, the point set (point-set
+// indexes only), and the rank permutation.
 //
 // The "points" key decodes through a pointer so that PRESENCE — not
 // emptiness — selects the point-set decode path: "points":[] is an empty

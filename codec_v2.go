@@ -18,15 +18,15 @@ import (
 )
 
 // The version-2 binary index format — the one format this package writes
-// (ReadIndex still imports the older v1 JSON files). A v2 file is a sequence of fixed-width little-endian
-// sections laid out so the serving engines can operate on the raw bytes in
-// place: every section sits at an 8-aligned offset, every array element is
-// a 64-bit word, and the file carries exactly the flat frame the engines
-// consume (the rank and inverse permutations, the presorted row-run
-// layout, the flat point table, the packed R-tree rectangles). On a
-// little-endian 64-bit host OpenMapped serves queries straight from the
-// mapped region without decoding anything; elsewhere ReadIndexV2
-// materializes the same sections portably.
+// (ReadIndex still imports the older v1 JSON files). A v2 file is a
+// sequence of fixed-width little-endian sections laid out so the serving
+// engines can operate on the raw bytes in place: every section sits at an
+// 8-aligned offset, every array element is a 64-bit word, and the file
+// carries exactly the flat frame the engines consume (the rank and inverse
+// permutations, the presorted row-run layout, the flat point table, the
+// packed R-tree rectangles). On a little-endian 64-bit host OpenMapped
+// serves queries straight from the mapped region without decoding
+// anything; elsewhere ReadIndexV2 materializes the same sections portably.
 //
 // Single-index frame layout:
 //

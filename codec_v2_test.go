@@ -485,7 +485,7 @@ func FuzzOpenMapped(f *testing.F) {
 	f.Add(sharded)
 	f.Add(sharded[:len(sharded)/2]) // truncated mid-frame
 	headerFlip := append([]byte(nil), sharded...)
-	headerFlip[24] ^= 1 // records per page, under the header CRC
+	headerFlip[16] ^= 1 // header CRC
 	f.Add(headerFlip)
 	payloadFlip := append([]byte(nil), sharded...)
 	payloadFlip[len(payloadFlip)-1] ^= 0x80 // last shard's payload
