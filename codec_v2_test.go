@@ -244,14 +244,12 @@ func TestCrossVersionV1ToV2(t *testing.T) {
 // the same global order and the same box scan.
 func TestShardedV2RoundTrip(t *testing.T) {
 	ctx := context.Background()
-	grid, err := spectrallpm.BuildSharded(ctx, 4, spectrallpm.WithGrid(10, 8), spectrallpm.WithSeed(3), spectrallpm.WithPageSize(4))
+	grid, err := spectrallpm.BuildSharded(ctx, 4, spectrallpm.WithGrid(8, 8), spectrallpm.WithSeed(1), spectrallpm.WithPageSize(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := spectrallpm.BuildSharded(ctx, 3,
-		spectrallpm.WithPoints([][]int{
-			{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {5, 5}, {5, 6}, {6, 5}, {9, 9},
-		}), spectrallpm.WithSeed(2), spectrallpm.WithPageSize(2))
+	points, err := spectrallpm.BuildSharded(ctx, 2,
+		spectrallpm.WithPoints([][]int{{0, 0}, {0, 1}, {5, 5}, {5, 6}, {9, 0}}), spectrallpm.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	spectrallpm "github.com/spectral-lpm/spectrallpm"
@@ -53,6 +54,81 @@ func TestShardedV2GoldenFormat(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("sharded v2 serialization drifted from golden file %s (%d vs %d bytes)", path, buf.Len(), len(want))
+	}
+}
+
+// TestShardedRoundTripBitIdentical checks WriteToV2 -> ReadShardedV2 ->
+// WriteToV2 reproduces the exact bytes for both shard kinds, and that the
+// reloaded index serves identically — the build/serve split for sharded
+// servers.
+func TestShardedRoundTripBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	indexes := map[string]*spectrallpm.ShardedIndex{}
+	grid, err := spectrallpm.BuildSharded(ctx, 4,
+		spectrallpm.WithGrid(10, 8), spectrallpm.WithSeed(3), spectrallpm.WithPageSize(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes["grid"] = grid
+	pts, err := spectrallpm.BuildSharded(ctx, 3,
+		spectrallpm.WithPoints([][]int{
+			{0, 0}, {0, 1}, {0, 2}, {1, 0}, {2, 0}, {5, 5}, {5, 6}, {6, 5}, {9, 9},
+		}), spectrallpm.WithSeed(2), spectrallpm.WithPageSize(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexes["points"] = pts
+	for _, name := range sortedKeys(indexes) {
+		sx := indexes[name]
+		t.Run(name, func(t *testing.T) {
+			var a bytes.Buffer
+			n, err := sx.WriteToV2(&a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != int64(a.Len()) {
+				t.Fatalf("WriteToV2 reported %d bytes, wrote %d", n, a.Len())
+			}
+			loaded, err := spectrallpm.ReadShardedV2(bytes.NewReader(a.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b bytes.Buffer
+			if _, err := loaded.WriteToV2(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("round trip not bit-identical (%d vs %d bytes)", a.Len(), b.Len())
+			}
+			if loaded.N() != sx.N() || loaded.NumShards() != sx.NumShards() {
+				t.Fatalf("loaded %d/%d, want %d/%d", loaded.N(), loaded.NumShards(), sx.N(), sx.NumShards())
+			}
+			// The loaded index serves the same global order.
+			for r := 0; r < sx.N(); r++ {
+				p, err := sx.Point(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := loaded.Rank(p...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != r {
+					t.Fatalf("loaded rank of %v = %d, want %d", p, got, r)
+				}
+			}
+			b0 := spectrallpm.Box{Start: []int{0, 0}, Dims: []int{6, 6}}
+			var want, got []int
+			if err := sx.ScanInto(b0, func(r int, _ []int) bool { want = append(want, r); return true }); err != nil {
+				t.Fatal(err)
+			}
+			if err := loaded.ScanInto(b0, func(r int, _ []int) bool { got = append(got, r); return true }); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("loaded scan %v, want %v", got, want)
+			}
+		})
 	}
 }
 
