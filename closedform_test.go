@@ -63,6 +63,25 @@ func TestClosedFormOracle(t *testing.T) {
 	}
 }
 
+// TestClosedFormBuildAllocs caps the allocations of a 512×512 closed-form
+// build. Its ~131k tie groups are resolved over scratch owned by the
+// build, so the count does not grow with the number of groups: one
+// allocation per group would put it far above the ceiling.
+func TestClosedFormBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const ceiling = 10000
+	avg := testing.AllocsPerRun(3, func() {
+		if _, err := spectrallpm.Build(context.Background(), spectrallpm.WithGrid(512, 512)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg >= ceiling {
+		t.Fatalf("512x512 closed-form build made %.0f allocs, want fewer than %d", avg, ceiling)
+	}
+}
+
 // TestClosedFormAppliesOnlyToDefaultBuilds: any option that changes the
 // graph or the solve semantics must fall back to the eigensolver.
 func TestClosedFormAppliesOnlyToDefaultBuilds(t *testing.T) {

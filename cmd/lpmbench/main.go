@@ -189,7 +189,7 @@ func printServe(w io.Writer, cfg experiments.Config, serve serveConfig) error {
 		}
 	}
 	fmt.Fprintf(w, "SERVE — Index API on a %dx%d grid, all %dx%d range queries\n", side, side, qside, qside)
-	fmt.Fprintf(w, "%-12s %12s %12s %10s %10s %12s %12s %12s\n",
+	fmt.Fprintf(w, "%-16s %12s %12s %10s %10s %12s %12s %12s\n",
 		"mapping", "build ms", "reload ms", "queries", "scan qps", "io qps", "batch qps", "avg runs")
 	var (
 		spectralBuilt *spectrallpm.Index
@@ -352,7 +352,7 @@ func serveRow(w io.Writer, name string, ix servingIndex, buildMS, reloadMS float
 	}
 	batchQPS := float64(len(stats)) / time.Since(batchStart).Seconds()
 
-	fmt.Fprintf(w, "%-12s %12.2f %12.2f %10d %10.0f %12.0f %12.0f %12.2f\n",
+	fmt.Fprintf(w, "%-16s %12.2f %12.2f %10d %10.0f %12.0f %12.0f %12.2f\n",
 		name, buildMS, reloadMS, len(boxes), scanQPS, ioQPS, batchQPS, float64(runsSum)/float64(len(boxes)))
 	return nil
 }

@@ -80,6 +80,39 @@ func TestRunServeSharded(t *testing.T) {
 	}
 }
 
+// TestServeTableAligned: every row's build figure ends where the header's
+// "build ms" column ends, including the longest row names (spectral/mmap,
+// sharded/N).
+func TestServeTableAligned(t *testing.T) {
+	var buf bytes.Buffer
+	if err := run(&buf, "serve", experiments.Config{}, false, serveConfig{side: 8, qside: 2, shards: 4}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	var header int
+	for header < len(lines) && !strings.HasPrefix(lines[header], "mapping") {
+		header++
+	}
+	if header == len(lines) {
+		t.Fatalf("no table header:\n%s", buf.String())
+	}
+	end := strings.Index(lines[header], "build ms") + len("build ms")
+	rows := 0
+	for _, row := range lines[header+1:] {
+		f := strings.Fields(row)
+		if len(f) != 8 {
+			break // the notes after the table
+		}
+		rows++
+		if got := strings.Index(row, " "+f[1]+" ") + 1 + len(f[1]); got != end {
+			t.Errorf("row %q: build figure ends at column %d, header at %d", f[0], got, end)
+		}
+	}
+	if rows < 7 {
+		t.Fatalf("only %d table rows:\n%s", rows, buf.String())
+	}
+}
+
 func TestRunServeTinyGridClampsQuery(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run(&buf, "serve", experiments.Config{}, false, serveConfig{side: 2}); err != nil {

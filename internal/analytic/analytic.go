@@ -22,12 +22,24 @@
 //     eigensolver path uses — no EigenspaceProbe, no solve. The quartic
 //     objective itself collapses to the closed form Σ_a c_a⁴·S with one
 //     O(M) coefficient, so each descent step is O(k).
-//   - Ordering runs through core.OrderByValues (the same snapping,
-//     orientation, and recursive tie-breaking as the solver path). Tie
-//     groups are resolved analytically: a group is a union of constant-
-//     value slabs whose connected components are sub-grids, so the paper's
-//     recursive tie-breaking recurses into GridOrder again — the recursion
-//     never solves an eigenproblem at any level.
+//   - Ordering sorts SLABS, not vertices. The Fiedler value depends only on
+//     the tied-axis coordinates, so every vertex of a slab — the full
+//     sub-grid over the non-tied axes at one tied-coordinate tuple — shares
+//     one value, and core.VisitTieGroups (the same sort, snapping and
+//     orientation as the solver path's core.OrderByValues) runs over one
+//     entry per slab: 1024 entries for a 1024×768 grid instead of 786k.
+//   - Tie groups are resolved analytically, in one pass over the groups
+//     with scratch owned by the call. A group is a union of slabs; slabs
+//     whose tied coordinates differ by one step are adjacent, and the
+//     components of that slab graph (a union-find over the group's members,
+//     in a reused buffer) are emitted in order of their smallest id. A component that is an
+//     axis-aligned box in tied-coordinate space induces a sub-grid, so the
+//     paper's recursive tie-breaking recurses into the closed form again:
+//     the box's order depends only on its dims, and translating it keeps
+//     the relative order of ids, so each distinct box shape is ordered once
+//     per call and reused at every offset. The recursion never solves an
+//     eigenproblem at any level, except for band-shaped components that
+//     snapping merges on axes ≳1000 long (see appendComponent).
 //
 // The result is pinned rank-for-rank to the eigensolver path wherever the
 // solver resolves the spectrum faithfully: both paths share the ordering
@@ -41,7 +53,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/spectral-lpm/spectrallpm/internal/core"
 	"github.com/spectral-lpm/spectrallpm/internal/eigen"
@@ -110,11 +122,7 @@ func GridOrder(g *graph.Grid, seed int64) (*Result, error) {
 		return nil, err
 	}
 	x := e.fiedler()
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	ordered, flipped, err := core.OrderByValues(ids, x, e.resolveGroup)
+	ordered, flipped, err := e.order(x)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +143,22 @@ func GridOrder(g *graph.Grid, seed int64) (*Result, error) {
 	}, nil
 }
 
-// engine holds the analytic structure of one grid: tied axes, cosine
-// tables, strides, and the memoized slab recursion.
+// orderOf returns just the spectral order of g, for the recursion into
+// sub-grids.
+func orderOf(g *graph.Grid, seed int64) ([]int, error) {
+	if g.Size() == 1 {
+		return []int{0}, nil
+	}
+	e, err := newEngine(g, seed)
+	if err != nil {
+		return nil, err
+	}
+	ordered, _, err := e.order(e.fiedler())
+	return ordered, err
+}
+
+// engine holds the analytic structure of one grid — tied axes, cosine
+// tables, strides — and the scratch of one ordering pass.
 type engine struct {
 	g      *graph.Grid
 	dims   []int
@@ -148,11 +170,22 @@ type engine struct {
 	cosT   []float64 // cos(π(i+½)/M), i = 0..M−1
 	gamma  float64   // per-harmonic normalization √(2/N)
 
-	// slabOffsets[r] is the id offset (relative to a slab's base id) of the
-	// slab vertex at slab rank r — the recursive spectral order of the
-	// non-tied sub-grid, computed once and reused by every slab.
-	slabOffsets []int
+	// Slabs are indexed by their tied coordinates read as a base-M number
+	// in axis order, which ascends with the slab's base id (its smallest
+	// vertex id). slabStride[p] is the weight of tied axis axesT[p].
+	slabStride []int
+	nonTVol    int   // vertices per slab
+	slabKeys   []int // slab index → base id; nil when they coincide (nonTVol == 1)
+
+	// Ordering scratch, reused by every tie group of one pass.
+	parent []int // union-find forest over the members of one group
+	comp   []int // the slab component being emitted
+	boxes  map[boxShape][]int
 }
+
+// boxShape is the extent of a box of slabs along each tied axis; the
+// non-tied axes always span the full grid.
+type boxShape [maxMixAxes]int
 
 func newEngine(g *graph.Grid, seed int64) (*engine, error) {
 	dims := g.Dims()
@@ -169,11 +202,13 @@ func newEngine(g *graph.Grid, seed int64) (*engine, error) {
 			e.m = side
 		}
 	}
+	e.nonTVol = 1
 	for a, side := range dims {
 		if side == e.m {
 			e.axesT = append(e.axesT, a)
 		} else {
 			e.nonT = append(e.nonT, a)
+			e.nonTVol *= side
 		}
 	}
 	if len(e.axesT) > maxMixAxes {
@@ -185,6 +220,12 @@ func newEngine(g *graph.Grid, seed int64) (*engine, error) {
 		e.cosT[i] = math.Cos(math.Pi * (float64(i) + 0.5) / float64(e.m))
 	}
 	e.gamma = math.Sqrt(2 / float64(g.Size()))
+	e.slabStride = make([]int, len(e.axesT))
+	s = 1
+	for p := len(e.axesT) - 1; p >= 0; p-- {
+		e.slabStride[p] = s
+		s *= e.m
+	}
 	return e, nil
 }
 
@@ -199,14 +240,47 @@ func (e *engine) fiedler() []float64 {
 	return core.MixBalanced(&mixSpace{e: e}, e.seed)
 }
 
-// addHarmonic accumulates x[v] += scale·cos(π(coord_axis(v)+½)/M) without
-// materializing coordinates: ids are row-major, so the axis coordinate is
-// (id / stride) mod side.
+// addHarmonic accumulates x[v] += scale·cos(π(coord_axis(v)+½)/M) for a tied
+// axis. Ids are row-major, so the axis coordinate is constant over runs of
+// stride consecutive ids and cycles through 0..M−1: walking the runs needs
+// no division.
 func (e *engine) addHarmonic(x []float64, axis int, scale float64) {
-	st, side := e.stride[axis], e.dims[axis]
-	for id := range x {
-		x[id] += scale * e.cosT[(id/st)%side]
+	st := e.stride[axis]
+	for blk := range slices.Chunk(x, st*e.m) {
+		if st == 1 {
+			for c, w := range e.cosT {
+				blk[c] += scale * w
+			}
+			continue
+		}
+		for c, w := range e.cosT {
+			run := blk[c*st : (c+1)*st]
+			for i := range run {
+				run[i] += scale * w
+			}
+		}
 	}
+}
+
+// project returns Σ_v r[v]·cos(π(coord_axis(v)+½)/M), summed in ascending
+// v and walking coordinate runs as addHarmonic does.
+func (e *engine) project(r []float64, axis int) float64 {
+	st := e.stride[axis]
+	var dot float64
+	for blk := range slices.Chunk(r, st*e.m) {
+		if st == 1 {
+			for c, w := range e.cosT {
+				dot += blk[c] * w
+			}
+			continue
+		}
+		for c, w := range e.cosT {
+			for _, rv := range blk[c*st : (c+1)*st] {
+				dot += rv * w
+			}
+		}
+	}
+	return dot
 }
 
 // mixSpace presents the tied-axis eigenspace to core.MixBalanced. The basis
@@ -225,12 +299,7 @@ func (sp *mixSpace) Dim() int     { return len(sp.e.axesT) }
 func (sp *mixSpace) Project(r []float64, c []float64) {
 	e := sp.e
 	for j, axis := range e.axesT {
-		st, side := e.stride[axis], e.dims[axis]
-		var dot float64
-		for id, rv := range r {
-			dot += rv * e.cosT[(id/st)%side]
-		}
-		c[j] = e.gamma * dot
+		c[j] = e.gamma * e.project(r, axis)
 	}
 }
 
@@ -264,156 +333,193 @@ func (sp *mixSpace) Gradient(c []float64, out []float64) {
 	}
 }
 
-func (sp *mixSpace) Assemble(c []float64) []float64 {
+func (sp *mixSpace) Assemble(c, x []float64) {
 	e := sp.e
-	x := make([]float64, e.g.Size())
+	clear(x)
 	for j, axis := range e.axesT {
 		e.addHarmonic(x, axis, e.gamma*c[j])
 	}
-	return x
 }
 
-// resolveGroup is the analytic form of the paper's recursive tie-breaking.
-// The Fiedler assignment depends only on the tied-axis coordinates, so a
-// tie group is a union of SLABS — for each tied-coordinate tuple in the
-// group, the full sub-grid over the non-tied axes. Slabs whose tuples
-// differ in one tied coordinate by one are adjacent; connected components
-// of that slab graph are ordered by smallest vertex id (exactly what the
-// solver path's component split does) and each component recurses:
-//
-//   - a single slab is the non-tied sub-grid → recursive GridOrder,
-//     computed once and reused by every slab (slabs are congruent);
-//   - several adjacent slabs forming an axis-aligned box in tied-coordinate
-//     space are that box's sub-grid → recursive GridOrder on strictly
-//     fewer vertices;
-//   - any other shape (bands merged by snapping — axes ≳1000 long) is
-//     ordered by a true spectral solve of just that component's induced
-//     subgraph, the same recursion step the solver path runs, bounded by
-//     the component size rather than the grid.
-func (e *engine) resolveGroup(group []int) ([]int, error) {
-	if len(e.nonT) == 0 && len(group) == 2 && e.manhattan(group[0], group[1]) > 1 {
-		// The square-grid common case — a symmetric pair like {(i,j),(j,i)},
-		// always non-adjacent: two singleton slabs, components in id order.
-		// Skipping the slab machinery here saves one map per pair on grids
-		// with hundreds of thousands of pairs.
-		return group, nil
-	}
-	nonTVol := nonTVolume(e)
-	// Slab decomposition: key = Σ_{a∈T} coord_a·stride_a (the slab's base
-	// id, since the slab holds the full all-zeros non-tied corner).
-	keyAt := make(map[int]int) // slab key -> count of group members seen
-	var keys []int
-	for _, id := range group {
+// order runs the paper's ordering over the slabs of the grid: one entry
+// per slab carries the value its vertices share and the slab index,
+// core.VisitTieGroups sorts, snaps and orients the entries, and each tie
+// group is expanded to vertices in its recursive order. That is the
+// vertex-level result: a slab's vertices hold bit-identical values, so
+// they never straddle a group boundary, and slab indices ascend with the
+// slabs' base ids — each slab's smallest vertex id — so the sort and the
+// orientation test, which read only the smallest id of a group, see the
+// same order.
+func (e *engine) order(x []float64) (ordered []int, flipped bool, err error) {
+	nslab := len(x) / e.nonTVol
+	ents := make([]core.Entry, nslab)
+	if e.nonTVol == 1 {
+		for s, v := range x {
+			ents[s] = core.Entry{Val: v, ID: s}
+		}
+	} else {
+		e.slabKeys = make([]int, nslab)
+		digits := make([]int, len(e.axesT))
 		key := 0
-		for _, a := range e.axesT {
-			key += ((id / e.stride[a]) % e.dims[a]) * e.stride[a]
+		for s := range ents {
+			e.slabKeys[s] = key
+			ents[s] = core.Entry{Val: x[key], ID: s}
+			// Advance the tied coordinates like an odometer.
+			for p := len(digits) - 1; p >= 0; p-- {
+				st := e.stride[e.axesT[p]]
+				if digits[p]++; digits[p] < e.m {
+					key += st
+					break
+				}
+				digits[p] = 0
+				key -= (e.m - 1) * st
+			}
 		}
-		if _, ok := keyAt[key]; !ok {
-			keys = append(keys, key)
-		}
-		keyAt[key]++
 	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		if keyAt[k] != nonTVol {
-			// A partial slab would mean exactly-equal values were split
-			// across groups, which snapping cannot do; defensive only.
-			return nil, fmt.Errorf("analytic: partial slab in tie group: %w", errNoClosedForm)
-		}
-	}
-	comps := e.slabComponents(keys)
-	out := make([]int, 0, len(group))
-	for _, comp := range comps {
+	e.boxes = make(map[boxShape][]int)
+	ordered = make([]int, 0, len(x))
+	flipped, err = core.VisitTieGroups(ents, func(group []core.Entry) error {
 		var err error
-		if out, err = e.appendComponent(out, comp); err != nil {
-			return nil, err
+		switch len(group) {
+		case nslab:
+			// The whole grid snapped into one group: id order, as on the
+			// solver path.
+			for id := range x {
+				ordered = append(ordered, id)
+			}
+		case 1:
+			ordered, err = e.appendSlab(ordered, group[0].ID)
+		default:
+			core.SortByID(group)
+			ordered, err = e.appendGroup(ordered, group)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	return out, nil
+	return ordered, flipped, nil
 }
 
-// slabComponents groups slab keys into connected components (adjacency:
-// tied-coordinate tuples differing by one grid step) and returns them
-// sorted by smallest key, each component's keys ascending.
-func (e *engine) slabComponents(keys []int) [][]int {
-	in := make(map[int]bool, len(keys))
-	for _, k := range keys {
-		in[k] = true
+// key returns the base id of slab s.
+func (e *engine) key(s int) int {
+	if e.slabKeys == nil {
+		return s
 	}
-	seen := make(map[int]bool, len(keys))
-	var comps [][]int
-	for _, start := range keys { // ascending → components sorted by min key
-		if seen[start] {
-			continue
+	return e.slabKeys[s]
+}
+
+// coord returns the coordinate of slab s along tied axis axesT[p].
+func (e *engine) coord(s, p int) int { return (s / e.slabStride[p]) % e.m }
+
+// appendGroup is the analytic form of the paper's recursive tie-breaking
+// for a group of several slabs, given ascending. Connected components of
+// the group's slab graph (adjacency: tied coordinates one step apart) are
+// emitted in order of their smallest slab — exactly what the solver path's
+// component split does — each in its recursive order (appendComponent).
+func (e *engine) appendGroup(dst []int, group []core.Entry) ([]int, error) {
+	// Union adjacent members. Roots are kept at the smallest member, and
+	// only members at most the largest slab stride apart can be adjacent.
+	parent := e.parent[:0]
+	for i := range group {
+		parent = append(parent, i)
+	}
+	e.parent = parent
+	find := func(i int) int {
+		for parent[i] != i {
+			parent[i] = parent[parent[i]]
+			i = parent[i]
 		}
-		comp := []int{start}
-		seen[start] = true
-		for i := 0; i < len(comp); i++ {
-			k := comp[i]
-			for _, a := range e.axesT {
-				c := (k / e.stride[a]) % e.dims[a]
-				if c > 0 {
-					if nb := k - e.stride[a]; in[nb] && !seen[nb] {
-						seen[nb] = true
-						comp = append(comp, nb)
-					}
-				}
-				if c+1 < e.dims[a] {
-					if nb := k + e.stride[a]; in[nb] && !seen[nb] {
-						seen[nb] = true
-						comp = append(comp, nb)
-					}
+		return i
+	}
+	unions := 0
+	for i, a := range group {
+		for j := i + 1; j < len(group) && group[j].ID-a.ID <= e.slabStride[0]; j++ {
+			if e.adjacent(a.ID, group[j].ID) {
+				if ri, rj := find(i), find(j); ri != rj {
+					parent[max(ri, rj)] = min(ri, rj)
+					unions++
 				}
 			}
 		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
 	}
-	return comps
+	var err error
+	if unions == 0 {
+		// The common case — e.g. the symmetric pair {(i,j),(j,i)} of a
+		// square grid, never adjacent: singleton components in id order.
+		for _, en := range group {
+			if dst, err = e.appendSlab(dst, en.ID); err != nil {
+				return nil, err
+			}
+		}
+		return dst, nil
+	}
+	for i := range group {
+		if find(i) != i {
+			continue // emitted with the component of a smaller member
+		}
+		comp := e.comp[:0]
+		for j := i; j < len(group); j++ {
+			if find(j) == i {
+				comp = append(comp, group[j].ID)
+			}
+		}
+		e.comp = comp
+		if dst, err = e.appendComponent(dst, comp); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// adjacent reports whether slabs s < t are one grid step apart: t − s is
+// the slab stride of one tied axis, and adding it to s moves no other
+// coordinate (the strides are distinct powers of M, so at most one fits).
+func (e *engine) adjacent(s, t int) bool {
+	for p, st := range e.slabStride {
+		if t-s == st {
+			return e.coord(s, p)+1 < e.m
+		}
+	}
+	return false
+}
+
+// appendSlab emits the vertices of slab s in the recursive spectral order
+// of the non-tied sub-grid.
+func (e *engine) appendSlab(dst []int, s int) ([]int, error) {
+	if e.nonTVol == 1 {
+		return append(dst, e.key(s)), nil
+	}
+	var unit boxShape
+	for p := range e.axesT {
+		unit[p] = 1
+	}
+	return e.appendBox(dst, e.key(s), unit)
 }
 
 // appendComponent emits one slab component in its recursive spectral order.
-func (e *engine) appendComponent(out []int, comp []int) ([]int, error) {
+func (e *engine) appendComponent(dst []int, comp []int) ([]int, error) {
 	if len(comp) == 1 {
-		offsets, err := e.slabRanks()
-		if err != nil {
-			return nil, err
-		}
-		base := comp[0]
-		for _, off := range offsets {
-			out = append(out, base+off)
-		}
-		return out, nil
+		return e.appendSlab(dst, comp[0])
 	}
 	// Several adjacent slabs: they must tile an axis-aligned box in
 	// tied-coordinate space for the induced subgraph to be a grid.
-	d := len(e.dims)
-	lo := make([]int, d)
-	hi := make([]int, d)
-	for i := range lo {
-		lo[i] = int(^uint(0) >> 1)
+	var lo, hi, shape boxShape
+	for p := range e.axesT {
+		lo[p] = e.m
 	}
-	for _, k := range comp {
-		for _, a := range e.axesT {
-			c := (k / e.stride[a]) % e.dims[a]
-			if c < lo[a] {
-				lo[a] = c
-			}
-			if c > hi[a] {
-				hi[a] = c
-			}
+	for _, s := range comp {
+		for p := range e.axesT {
+			c := e.coord(s, p)
+			lo[p] = min(lo[p], c)
+			hi[p] = max(hi[p], c)
 		}
 	}
-	vol := 1
-	subDims := make([]int, d)
-	base := 0
-	for i := range e.dims {
-		subDims[i] = e.dims[i]
-	}
-	for _, a := range e.axesT {
-		subDims[a] = hi[a] - lo[a] + 1
-		vol *= subDims[a]
-		base += lo[a] * e.stride[a]
+	vol, base := 1, 0
+	for p, a := range e.axesT {
+		shape[p] = hi[p] - lo[p] + 1
+		vol *= shape[p]
+		base += lo[p] * e.stride[a]
 	}
 	if vol != len(comp) {
 		// The component is not an axis-aligned box (adjacent slabs merged by
@@ -421,55 +527,54 @@ func (e *engine) appendComponent(out []int, comp []int) ([]int, error) {
 		// exactly the way the solver path's recursion would: a spectral
 		// solve of the induced subgraph, bounded by the component size,
 		// which is a vanishing fraction of the grid.
-		members := make([]int, 0, len(comp)*nonTVolume(e))
-		for _, k := range comp {
-			members = e.appendSlabMembers(members, k)
+		members := make([]int, 0, len(comp)*e.nonTVol)
+		for _, s := range comp {
+			members = e.appendSlabMembers(members, e.key(s))
 		}
-		sort.Ints(members)
-		return e.solveSubgraph(out, members)
+		slices.Sort(members)
+		return e.solveSubgraph(dst, members)
 	}
-	subGrid, err := graph.NewGrid(subDims...)
-	if err != nil {
-		return nil, err
-	}
-	// Strictly smaller than the enclosing grid: the component is a strict
-	// subset of a tie group, itself a strict subset of the grid.
-	sub, err := GridOrder(subGrid, e.seed)
-	if err != nil {
-		return nil, err
-	}
-	coords := make([]int, d)
-	for _, v := range sub.Order {
-		subGrid.Coords(v, coords)
-		id := base
-		for i, c := range coords {
-			id += c * e.stride[i]
-		}
-		out = append(out, id)
-	}
-	return out, nil
+	return e.appendBox(dst, base, shape)
 }
 
-// manhattan returns the grid Manhattan distance between two vertex ids.
-func (e *engine) manhattan(a, b int) int {
-	var dist int
-	for axis, side := range e.dims {
-		st := e.stride[axis]
-		d := (a/st)%side - (b/st)%side
-		if d < 0 {
-			d = -d
+// appendBox emits the box of slabs with the given shape whose smallest
+// vertex id is base, in the spectral order of the sub-grid it induces.
+// The box's order depends only on its dims, and translation by base keeps
+// the relative order of ids, so the order is computed once per shape (as
+// id offsets from base) and reused at every offset.
+func (e *engine) appendBox(dst []int, base int, shape boxShape) ([]int, error) {
+	offsets, ok := e.boxes[shape]
+	if !ok {
+		subDims := slices.Clone(e.dims)
+		for p, a := range e.axesT {
+			subDims[a] = shape[p]
 		}
-		dist += d
+		subGrid, err := graph.NewGrid(subDims...)
+		if err != nil {
+			return nil, err
+		}
+		// Strictly smaller than the enclosing grid: the box is a strict
+		// subset of a tie group, itself a strict subset of the grid.
+		sub, err := orderOf(subGrid, e.seed)
+		if err != nil {
+			return nil, err
+		}
+		offsets = make([]int, len(sub))
+		coords := make([]int, len(subDims))
+		for r, v := range sub {
+			subGrid.Coords(v, coords)
+			off := 0
+			for i, c := range coords {
+				off += c * e.stride[i]
+			}
+			offsets[r] = off
+		}
+		e.boxes[shape] = offsets
 	}
-	return dist
-}
-
-func nonTVolume(e *engine) int {
-	v := 1
-	for _, b := range e.nonT {
-		v *= e.dims[b]
+	for _, off := range offsets {
+		dst = append(dst, base+off)
 	}
-	return v
+	return dst, nil
 }
 
 // appendSlabMembers appends every vertex id of the slab based at key (the
@@ -528,40 +633,4 @@ func (e *engine) solveSubgraph(out []int, members []int) ([]int, error) {
 		out = append(out, members[v])
 	}
 	return out, nil
-}
-
-// slabRanks returns (memoized) the id offsets of one slab's vertices in the
-// recursive spectral order of the non-tied sub-grid.
-func (e *engine) slabRanks() ([]int, error) {
-	if e.slabOffsets != nil {
-		return e.slabOffsets, nil
-	}
-	if len(e.nonT) == 0 {
-		e.slabOffsets = []int{0}
-		return e.slabOffsets, nil
-	}
-	subDims := make([]int, len(e.nonT))
-	for i, b := range e.nonT {
-		subDims[i] = e.dims[b]
-	}
-	subGrid, err := graph.NewGrid(subDims...)
-	if err != nil {
-		return nil, err
-	}
-	sub, err := GridOrder(subGrid, e.seed)
-	if err != nil {
-		return nil, err
-	}
-	offsets := make([]int, len(sub.Order))
-	coords := make([]int, len(subDims))
-	for r, v := range sub.Order {
-		subGrid.Coords(v, coords)
-		off := 0
-		for i, c := range coords {
-			off += c * e.stride[e.nonT[i]]
-		}
-		offsets[r] = off
-	}
-	e.slabOffsets = offsets
-	return offsets, nil
 }

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/spectral-lpm/spectrallpm/internal/core"
@@ -157,6 +158,70 @@ func TestBalancedMixIsFair(t *testing.T) {
 	for k, e := range energy {
 		if e/total < 0.25 {
 			t.Errorf("axis %d carries only %.1f%% of λ₂ energy", k, 100*e/total)
+		}
+	}
+}
+
+// TestBoxOrderTranslationInvariant backs the per-shape memo of box
+// orders: the paper's recursion orders a tie component by Spectral LPM on
+// the subgraph it induces, and for an axis-aligned box that order depends
+// only on the box's dims, not on where the box sits. Every offset of the
+// same dims, ordered by the eigensolver on the induced subgraph of the
+// enclosing grid, gives the same relative order, and it is the closed-form
+// order of the box grid.
+func TestBoxOrderTranslationInvariant(t *testing.T) {
+	cases := []struct {
+		grid, box []int
+	}{
+		{[]int{9, 9}, []int{2, 1}},
+		{[]int{9, 9}, []int{3, 3}},
+		{[]int{9, 9}, []int{1, 5}},
+		{[]int{12, 7}, []int{4, 7}},
+		{[]int{6, 6, 6}, []int{2, 2, 1}},
+		{[]int{6, 6, 6}, []int{3, 2, 6}},
+	}
+	for _, c := range cases {
+		grid := graph.MustGrid(c.grid...)
+		g := graph.GridGraph(grid, graph.Orthogonal)
+		want, err := orderOf(graph.MustGrid(c.box...), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every offset along the first axis, and the far corner.
+		var offsets [][]int
+		for o := 0; o+c.box[0] <= c.grid[0]; o++ {
+			off := make([]int, len(c.grid))
+			off[0] = o
+			offsets = append(offsets, off)
+		}
+		far := make([]int, len(c.grid))
+		for i := range far {
+			far[i] = c.grid[i] - c.box[i]
+		}
+		offsets = append(offsets, far)
+		for _, off := range offsets {
+			box := graph.MustGrid(c.box...)
+			members := make([]int, 0, box.Size())
+			coords := make([]int, len(c.box))
+			for v := 0; v < box.Size(); v++ {
+				box.Coords(v, coords)
+				for i := range coords {
+					coords[i] += off[i]
+				}
+				members = append(members, grid.ID(coords))
+			}
+			sub, _, err := g.Subgraph(members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.SpectralOrder(sub, core.Options{Solver: eigen.Options{Seed: 3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(res.Order, want) {
+				t.Fatalf("grid %v box %v at %v: induced order %v, closed-form box order %v",
+					c.grid, c.box, off, res.Order, want)
+			}
 		}
 	}
 }

@@ -125,8 +125,8 @@ func SpectralOrder(g *graph.Graph, opt Options) (*Result, error) {
 		// translation-congruent, so one slab's order serves all of them
 		// (the analytic engine memoizes the same way in slabRanks).
 		tieCache := map[string][]int{}
-		ordered, flipped, err := OrderByValues(ids, vals, func(group []int) ([]int, error) {
-			return resolveTieGroup(g, group, opt, tieCache)
+		ordered, flipped, err := OrderByValues(ids, vals, func(dst, group []int) ([]int, error) {
+			return resolveTieGroup(dst, g, group, opt, tieCache)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: tie-break on %d-vertex component: %w", len(comp), err)
@@ -145,7 +145,8 @@ func SpectralOrder(g *graph.Graph, opt Options) (*Result, error) {
 }
 
 // resolveTieGroup is the paper's recursive tie-breaking: the vertices of one
-// snapped tie group are ordered by Spectral LPM on the subgraph they induce.
+// snapped tie group are ordered by Spectral LPM on the subgraph they induce
+// and appended to dst.
 // On a rectangular grid the tied vertices are a slab perpendicular to the
 // longest axis and the recursion orders the slab as the (d−1)-dimensional
 // grid it is; on a balanced square mix the tied vertices are mutually
@@ -155,14 +156,14 @@ func SpectralOrder(g *graph.Graph, opt Options) (*Result, error) {
 // strictly shrinks. cache maps a canonical subgraph-shape key to its local
 // order, so congruent groups (the M slabs of a rectangular grid, which
 // induce identical local subgraphs) pay for one solve, not M.
-func resolveTieGroup(g *graph.Graph, group []int, opt Options, cache map[string][]int) ([]int, error) {
+func resolveTieGroup(dst []int, g *graph.Graph, group []int, opt Options, cache map[string][]int) ([]int, error) {
 	if len(group) == 2 {
 		// Either possible induced subgraph orders a pair ascending by id:
 		// K₂'s deterministic fast path and two singleton components both
 		// emit the smaller id first. Balanced square grids produce ~N/2
 		// such pair groups, so skipping the Subgraph machinery here is the
 		// difference between a per-group map and nothing.
-		return group, nil
+		return append(dst, group...), nil
 	}
 	sub, sids, err := g.Subgraph(group)
 	if err != nil {
@@ -178,11 +179,10 @@ func resolveTieGroup(g *graph.Graph, group []int, opt Options, cache map[string]
 		local = res.Order
 		cache[key] = local
 	}
-	out := make([]int, len(group))
-	for r, v := range local {
-		out[r] = sids[v]
+	for _, v := range local {
+		dst = append(dst, sids[v])
 	}
-	return out, nil
+	return dst, nil
 }
 
 // subgraphKey serializes a subgraph's structure (vertex count plus the

@@ -46,8 +46,8 @@ type EigenspaceMix interface {
 	Objective(c []float64) float64
 	// Gradient writes ∂Objective/∂c into out (length Dim).
 	Gradient(c []float64, out []float64)
-	// Assemble returns x = Bc as a fresh ambient vector.
-	Assemble(c []float64) []float64
+	// Assemble writes x = Bc into x, which has length Ambient.
+	Assemble(c, x []float64)
 }
 
 // quarticPickTol is the relative objective slack within which two descent
@@ -138,7 +138,9 @@ func MixBalanced(sp EigenspaceMix, seed int64) []float64 {
 		// any unit coefficient vector is still an optimal Theorem-1 answer.
 		c := make([]float64, m)
 		c[0] = 1
-		return sp.Assemble(c)
+		x := make([]float64, n)
+		sp.Assemble(c, x)
+		return x
 	}
 	bestF := math.Inf(1)
 	for _, cd := range cands {
@@ -146,16 +148,21 @@ func MixBalanced(sp EigenspaceMix, seed int64) []float64 {
 			bestF = cd.f
 		}
 	}
-	var best []float64
+	// Two ambient buffers serve every candidate: the best so far and the
+	// one being assembled.
+	var best, x []float64
 	bestL := math.Inf(-1)
 	for _, cd := range cands {
 		if cd.f > bestF+quarticPickTol*(1+bestF) {
 			continue
 		}
-		x := sp.Assemble(cd.c)
+		if x == nil {
+			x = make([]float64, n)
+		}
+		sp.Assemble(cd.c, x)
 		if l := mixFunctional(x); l > bestL {
 			bestL = l
-			best = x
+			best, x = x, best
 		}
 	}
 	la.Normalize(best)
@@ -224,10 +231,9 @@ func (sp *edgeMixSpace) Gradient(c []float64, out []float64) {
 	}
 }
 
-func (sp *edgeMixSpace) Assemble(c []float64) []float64 {
-	x := make([]float64, sp.n)
+func (sp *edgeMixSpace) Assemble(c, x []float64) {
+	la.Zero(x)
 	for j, b := range sp.basis {
 		la.Axpy(c[j], b, x)
 	}
-	return x
 }

@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // The spectral order of step 5 is "the order of the assigned values" — but
 // assigned values tie. On the paper's own default construction ties are the
@@ -26,8 +30,8 @@ import "sort"
 //     bounds the recursion.
 //
 // Both the eigensolver path (SpectralOrder) and the closed-form grid engine
-// (internal/analytic) order through this one function, which is what makes
-// the two paths comparable rank-for-rank.
+// (internal/analytic) order through VisitTieGroups, the sort-snap-orient
+// step, which is what makes the two paths comparable rank-for-rank.
 
 // snapRelTol is the relative value gap (scaled by the component's value
 // range) below which two Fiedler components are one tie group. It must sit
@@ -36,81 +40,207 @@ import "sort"
 // up to ~1000 per side).
 const snapRelTol = 1e-6
 
+// Entry is one value of the assignment being ordered and the id it
+// belongs to.
+type Entry struct {
+	Val float64
+	ID  int
+}
+
+// compareEntries orders by value, then id. Ids are distinct, so it is a
+// total order and an unstable sort gives the one sorted sequence; ±0
+// compare equal, so they fall back to the id as well.
+func compareEntries(a, b Entry) int {
+	switch {
+	case a.Val < b.Val:
+		return -1
+	case a.Val > b.Val:
+		return 1
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// bucketSortMin is the entry count from which sortEntries distributes
+// entries over value buckets instead of comparison-sorting them.
+const bucketSortMin = 256
+
+// sortEntries sorts ents by compareEntries. From bucketSortMin entries on,
+// it first distributes them over len/2 buckets by the value's position in
+// the value range. That map is monotone — rounding preserves order, so a
+// smaller value never lands in a later bucket, and equal values (±0
+// included) share one — so sorting each bucket by compareEntries yields
+// the one sorted sequence, in O(n) expected work instead of O(n log n)
+// comparisons. Ranges the map cannot scale (NaN, infinite or degenerate
+// spans) take the comparison sort.
+func sortEntries(ents []Entry) {
+	n := len(ents)
+	lo, hi := ents[0].Val, ents[0].Val
+	nan := false
+	for _, e := range ents[1:] {
+		if e.Val < lo {
+			lo = e.Val
+		}
+		if e.Val > hi {
+			hi = e.Val
+		}
+		nan = nan || e.Val != e.Val
+	}
+	nb := n / 2
+	scale := float64(nb) / (hi - lo)
+	if n < bucketSortMin || nan || !(hi-lo > 0) || math.IsInf(scale, 0) {
+		slices.SortFunc(ents, compareEntries)
+		return
+	}
+	bucket := func(v float64) int { return min(int((v-lo)*scale), nb-1) }
+	start := make([]int32, nb+1)
+	for _, e := range ents {
+		start[bucket(e.Val)+1]++
+	}
+	for b := 1; b <= nb; b++ {
+		start[b] += start[b-1]
+	}
+	sorted := make([]Entry, n)
+	next := start[:nb]
+	for _, e := range ents {
+		b := bucket(e.Val)
+		sorted[next[b]] = e
+		next[b]++
+	}
+	// next[b] now holds the end of bucket b, which is where b+1 starts.
+	lo32 := int32(0)
+	for _, hi32 := range next {
+		b := sorted[lo32:hi32]
+		lo32 = hi32
+		if len(b) > 16 {
+			slices.SortFunc(b, compareEntries)
+			continue
+		}
+		for i := 1; i < len(b); i++ {
+			for j := i; j > 0 && compareEntries(b[j], b[j-1]) < 0; j-- {
+				b[j], b[j-1] = b[j-1], b[j]
+			}
+		}
+	}
+	copy(ents, sorted)
+}
+
+// SortByID sorts a tie group's entries ascending by id.
+func SortByID(group []Entry) {
+	if len(group) > 16 {
+		slices.SortFunc(group, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
+		return
+	}
+	for i := 1; i < len(group); i++ {
+		for j := i; j > 0 && group[j].ID < group[j-1].ID; j-- {
+			group[j], group[j-1] = group[j-1], group[j]
+		}
+	}
+}
+
+// VisitTieGroups sorts ents ascending by (value, id), snaps them into tie
+// groups (steps 1 and 2 above) and calls visit on each group in the
+// oriented order, as a subslice of ents still sorted by value. visit may
+// reorder the entries of the group it is given — the snapping has already
+// read them — but must not keep the slice. A visit error stops the walk.
+// The result reports whether orientation reversed the value order. When
+// every value snaps into one group (a constant or near-constant
+// assignment), visit receives all of ents in one call; callers treat that
+// group as id order.
+func VisitTieGroups(ents []Entry, visit func(group []Entry) error) (flipped bool, err error) {
+	n := len(ents)
+	if n == 0 {
+		return false, nil
+	}
+	sortEntries(ents)
+	tol := snapRelTol * (ents[n-1].Val - ents[0].Val)
+	// joined reports whether ents[i] snaps onto ents[i-1].
+	joined := func(i int) bool { return !(ents[i].Val-ents[i-1].Val > tol) }
+	firstEnd := 1
+	for firstEnd < n && joined(firstEnd) {
+		firstEnd++
+	}
+	if firstEnd < n {
+		lastStart := n - 1
+		for joined(lastStart) {
+			lastStart--
+		}
+		flipped = minID(ents[lastStart:]) < minID(ents[:firstEnd])
+	}
+	if !flipped {
+		for i := 0; i < n; {
+			j := i + 1
+			for j < n && joined(j) {
+				j++
+			}
+			if err := visit(ents[i:j]); err != nil {
+				return false, err
+			}
+			i = j
+		}
+		return false, nil
+	}
+	for j := n; j > 0; {
+		i := j - 1
+		for i > 0 && joined(i) {
+			i--
+		}
+		if err := visit(ents[i:j]); err != nil {
+			return false, err
+		}
+		j = i
+	}
+	return true, nil
+}
+
+func minID(group []Entry) int {
+	m := group[0].ID
+	for _, e := range group[1:] {
+		m = min(m, e.ID)
+	}
+	return m
+}
+
 // OrderByValues orders ids ascending by their snapped values, resolving
-// multi-member tie groups through resolve (members passed in ascending id
-// order) and orienting the whole order deterministically. ids must be
-// sorted ascending; vals[i] belongs to ids[i]. It reports whether the
+// multi-member tie groups through resolve and orienting the whole order
+// deterministically. ids must be sorted ascending; vals[i] belongs to
+// ids[i]. resolve appends the ordered group to dst and returns the
+// extended slice; the group it is given holds the members in ascending id
+// order and is reused after the call. OrderByValues reports whether the
 // orientation step reversed the value order, so callers keeping the raw
 // vector can negate it and preserve the order-ascends-with-value invariant.
-func OrderByValues(ids []int, vals []float64, resolve func(group []int) ([]int, error)) (ordered []int, flipped bool, err error) {
+func OrderByValues(ids []int, vals []float64, resolve func(dst, group []int) ([]int, error)) (ordered []int, flipped bool, err error) {
 	n := len(ids)
 	if n <= 1 {
 		return append([]int(nil), ids...), false, nil
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool {
-		va, vb := vals[perm[a]], vals[perm[b]]
-		if va != vb {
-			return va < vb
-		}
-		return ids[perm[a]] < ids[perm[b]]
-	})
-	lo, hi := vals[perm[0]], vals[perm[n-1]]
-	if hi == lo {
-		// A constant assignment carries no order; fall back to id order.
-		return append([]int(nil), ids...), false, nil
-	}
-	tol := snapRelTol * (hi - lo)
-	// groups[k] is the half-open [start, end) range of perm holding group k.
-	var groups [][2]int
-	start := 0
-	for i := 1; i < n; i++ {
-		if vals[perm[i]]-vals[perm[i-1]] > tol {
-			groups = append(groups, [2]int{start, i})
-			start = i
-		}
-	}
-	groups = append(groups, [2]int{start, n})
-	minID := func(g [2]int) int {
-		m := ids[perm[g[0]]]
-		for i := g[0] + 1; i < g[1]; i++ {
-			if id := ids[perm[i]]; id < m {
-				m = id
-			}
-		}
-		return m
-	}
-	if len(groups) >= 2 && minID(groups[len(groups)-1]) < minID(groups[0]) {
-		flipped = true
-		for i, j := 0, len(groups)-1; i < j; i, j = i+1, j-1 {
-			groups[i], groups[j] = groups[j], groups[i]
-		}
+	ents := make([]Entry, n)
+	for i, id := range ids {
+		ents[i] = Entry{Val: vals[i], ID: id}
 	}
 	ordered = make([]int, 0, n)
-	for _, g := range groups {
-		size := g[1] - g[0]
-		switch {
-		case size == 1:
-			ordered = append(ordered, ids[perm[g[0]]])
-		case size == n:
+	var members []int
+	flipped, err = VisitTieGroups(ents, func(group []Entry) error {
+		switch len(group) {
+		case 1:
+			ordered = append(ordered, group[0].ID)
+		case n:
 			// The whole component snapped into one group (a near-constant
 			// assignment): recursion would not terminate, so id order.
 			ordered = append(ordered, ids...)
 		default:
-			members := make([]int, size)
-			for i := g[0]; i < g[1]; i++ {
-				members[i-g[0]] = ids[perm[i]]
+			SortByID(group)
+			members = members[:0]
+			for _, e := range group {
+				members = append(members, e.ID)
 			}
-			sort.Ints(members)
-			resolved, err := resolve(members)
-			if err != nil {
-				return nil, false, err
-			}
-			ordered = append(ordered, resolved...)
+			var err error
+			ordered, err = resolve(ordered, members)
+			return err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
 	return ordered, flipped, nil
 }

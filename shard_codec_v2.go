@@ -179,18 +179,16 @@ func decodeShardedV2(data []byte, borrow bool) (*ShardedIndex, error) {
 		if ix.RecordsPerPage() != rpp {
 			return nil, errShardedV2("shard %d page size %d disagrees with header %d", i, ix.RecordsPerPage(), rpp)
 		}
-		origin := origins[i]
 		if points {
 			// Point shards carry global coordinates; the table slot is
 			// canonical zero padding, never a translation.
-			for _, o := range origin {
+			for _, o := range origins[i] {
 				if o != 0 {
 					return nil, errShardedV2("shard %d: point shard declares an origin", i)
 				}
 			}
-			origin = nil
 		}
-		lo, hi, org, err := shardPlacement(grid, origin, ix, points)
+		lo, hi, org, err := shardPlacement(grid, origins[i], ix, points)
 		if err != nil {
 			return nil, fmt.Errorf("spectrallpm: shard %d: %w", i, err)
 		}
@@ -259,8 +257,10 @@ func OpenMappedSharded(path string) (*ShardedIndex, error) {
 }
 
 // shardPlacement derives one shard's bounding box and coordinate
-// translation from its declared origin (nil for point shards) and its
-// loaded index, validating it against the global grid.
+// translation from its declared origin and its loaded index, validating it
+// against the global grid. A point shard's origin is not read: its points
+// carry global coordinates, and the decoder has already rejected a nonzero
+// one.
 func shardPlacement(grid *graph.Grid, declaredOrigin []int, ix *Index, points bool) (lo, hi, origin []int, err error) {
 	d := grid.D()
 	dims := grid.Dims()
@@ -269,9 +269,6 @@ func shardPlacement(grid *graph.Grid, declaredOrigin []int, ix *Index, points bo
 		return nil, nil, nil, fmt.Errorf("shard arity %d, global %d: %w", len(shardDims), d, ErrCorruptIndex)
 	}
 	if points {
-		if declaredOrigin != nil {
-			return nil, nil, nil, fmt.Errorf("point shard declares an origin: %w", ErrCorruptIndex)
-		}
 		for j, s := range shardDims {
 			if s > dims[j] {
 				return nil, nil, nil, fmt.Errorf("shard bounding grid %v exceeds global %v: %w", shardDims, dims, ErrCorruptIndex)
