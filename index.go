@@ -336,7 +336,9 @@ func buildSpectralGrid(ctx context.Context, cfg *buildConfig, ix *Index) error {
 	if closedFormApplies(cfg) {
 		ar, err := analytic.GridOrder(cfg.grid, cfg.solver.Seed)
 		if err == nil {
-			m, err := order.FromRanks("spectral", cfg.grid, ar.Rank)
+			// GridOrder hands back an inverse pair it has already checked
+			// to be permutations; the mapping adopts them as they are.
+			m, err := order.FromValidated("spectral", cfg.grid, ar.Rank, ar.Order)
 			if err != nil {
 				return err
 			}

@@ -73,7 +73,8 @@ var errNoClosedForm = errors.New("analytic: tie structure has no closed form")
 
 // Result is the closed-form spectral order of a default grid.
 type Result struct {
-	// Order[r] is the vertex placed at rank r; Rank is its inverse.
+	// Order[r] is the vertex placed at rank r; Rank is its inverse. Both
+	// are checked permutations of the grid's vertices.
 	Order []int
 	Rank  []int
 	// Fiedler is the analytic Fiedler assignment (the degenerate-balanced
@@ -131,8 +132,19 @@ func GridOrder(g *graph.Grid, seed int64) (*Result, error) {
 			x[i] = -x[i]
 		}
 	}
+	// Invert the order, proving on the way that it is a permutation, so
+	// callers may adopt Order and Rank without validating them again.
 	rank := make([]int, n)
+	for v := range rank {
+		rank[v] = -1
+	}
+	if len(ordered) != n {
+		return nil, fmt.Errorf("analytic: order holds %d of %d vertices", len(ordered), n)
+	}
 	for r, v := range ordered {
+		if rank[v] >= 0 {
+			return nil, fmt.Errorf("analytic: vertex %d ordered twice", v)
+		}
 		rank[v] = r
 	}
 	return &Result{

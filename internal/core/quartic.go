@@ -67,11 +67,12 @@ func mixWeight(v int) float64 {
 	return float64(z>>11)/(1<<52) - 1
 }
 
-// mixFunctional evaluates the canonicalizing functional Σ mixWeight(v)·x_v.
-func mixFunctional(x []float64) float64 {
+// mixFunctional evaluates the canonicalizing functional Σ w[v]·x_v, where
+// w holds mixWeight(v) for every vertex.
+func mixFunctional(w, x []float64) float64 {
 	var s float64
 	for v, xv := range x {
-		s += mixWeight(v) * xv
+		s += w[v] * xv
 	}
 	return s
 }
@@ -149,8 +150,8 @@ func MixBalanced(sp EigenspaceMix, seed int64) []float64 {
 		}
 	}
 	// Two ambient buffers serve every candidate: the best so far and the
-	// one being assembled.
-	var best, x []float64
+	// one being assembled. The functional's weights are hashed once.
+	var best, x, weights []float64
 	bestL := math.Inf(-1)
 	for _, cd := range cands {
 		if cd.f > bestF+quarticPickTol*(1+bestF) {
@@ -159,8 +160,14 @@ func MixBalanced(sp EigenspaceMix, seed int64) []float64 {
 		if x == nil {
 			x = make([]float64, n)
 		}
+		if weights == nil {
+			weights = make([]float64, n)
+			for v := range weights {
+				weights[v] = mixWeight(v)
+			}
+		}
 		sp.Assemble(cd.c, x)
-		if l := mixFunctional(x); l > bestL {
+		if l := mixFunctional(weights, x); l > bestL {
 			bestL = l
 			best, x = x, best
 		}
