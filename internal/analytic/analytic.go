@@ -182,12 +182,9 @@ type engine struct {
 	cosT   []float64 // cos(π(i+½)/M), i = 0..M−1
 	gamma  float64   // per-harmonic normalization √(2/N)
 
-	// Slabs are indexed by their tied coordinates read as a base-M number
-	// in axis order, which ascends with the slab's base id (its smallest
-	// vertex id). slabStride[p] is the weight of tied axis axesT[p].
-	slabStride []int
-	nonTVol    int   // vertices per slab
-	slabKeys   []int // slab index → base id; nil when they coincide (nonTVol == 1)
+	// A slab is named by its base id: its smallest vertex id, where every
+	// non-tied coordinate is zero.
+	nonTVol int // vertices per slab
 
 	// Ordering scratch, reused by every tie group of one pass.
 	parent []int // union-find forest over the members of one group
@@ -232,12 +229,6 @@ func newEngine(g *graph.Grid, seed int64) (*engine, error) {
 		e.cosT[i] = math.Cos(math.Pi * (float64(i) + 0.5) / float64(e.m))
 	}
 	e.gamma = math.Sqrt(2 / float64(g.Size()))
-	e.slabStride = make([]int, len(e.axesT))
-	s = 1
-	for p := len(e.axesT) - 1; p >= 0; p-- {
-		e.slabStride[p] = s
-		s *= e.m
-	}
 	return e, nil
 }
 
@@ -354,29 +345,26 @@ func (sp *mixSpace) Assemble(c, x []float64) {
 }
 
 // order runs the paper's ordering over the slabs of the grid: one entry
-// per slab carries the value its vertices share and the slab index,
+// per slab carries the value its vertices share and the slab's base id,
 // core.VisitTieGroups sorts, snaps and orients the entries, and each tie
 // group is expanded to vertices in its recursive order. That is the
 // vertex-level result: a slab's vertices hold bit-identical values, so
-// they never straddle a group boundary, and slab indices ascend with the
-// slabs' base ids — each slab's smallest vertex id — so the sort and the
-// orientation test, which read only the smallest id of a group, see the
-// same order.
+// they never straddle a group boundary, and the base id is the slab's
+// smallest vertex id, the only id the sort and the orientation test can
+// tell apart from the rest of the slab.
 func (e *engine) order(x []float64) (ordered []int, flipped bool, err error) {
 	nslab := len(x) / e.nonTVol
-	ents := make([]core.Entry, nslab)
+	ents := make([]core.Entry, 0, nslab)
 	if e.nonTVol == 1 {
-		for s, v := range x {
-			ents[s] = core.Entry{Val: v, ID: s}
+		for id, v := range x {
+			ents = append(ents, core.Entry{Val: v, ID: id})
 		}
 	} else {
-		e.slabKeys = make([]int, nslab)
+		// Walk the base ids in ascending order, advancing the tied
+		// coordinates like an odometer.
 		digits := make([]int, len(e.axesT))
-		key := 0
-		for s := range ents {
-			e.slabKeys[s] = key
-			ents[s] = core.Entry{Val: x[key], ID: s}
-			// Advance the tied coordinates like an odometer.
+		for key := 0; len(ents) < nslab; {
+			ents = append(ents, core.Entry{Val: x[key], ID: key})
 			for p := len(digits) - 1; p >= 0; p-- {
 				st := e.stride[e.axesT[p]]
 				if digits[p]++; digits[p] < e.m {
@@ -413,16 +401,8 @@ func (e *engine) order(x []float64) (ordered []int, flipped bool, err error) {
 	return ordered, flipped, nil
 }
 
-// key returns the base id of slab s.
-func (e *engine) key(s int) int {
-	if e.slabKeys == nil {
-		return s
-	}
-	return e.slabKeys[s]
-}
-
-// coord returns the coordinate of slab s along tied axis axesT[p].
-func (e *engine) coord(s, p int) int { return (s / e.slabStride[p]) % e.m }
+// coord returns the coordinate of vertex id along tied axis axesT[p].
+func (e *engine) coord(id, p int) int { return (id / e.stride[e.axesT[p]]) % e.m }
 
 // appendGroup is the analytic form of the paper's recursive tie-breaking
 // for a group of several slabs, given ascending. Connected components of
@@ -431,7 +411,7 @@ func (e *engine) coord(s, p int) int { return (s / e.slabStride[p]) % e.m }
 // component split does — each in its recursive order (appendComponent).
 func (e *engine) appendGroup(dst []int, group []core.Entry) ([]int, error) {
 	// Union adjacent members. Roots are kept at the smallest member, and
-	// only members at most the largest slab stride apart can be adjacent.
+	// only members at most the largest tied stride apart can be adjacent.
 	parent := e.parent[:0]
 	for i := range group {
 		parent = append(parent, i)
@@ -446,7 +426,7 @@ func (e *engine) appendGroup(dst []int, group []core.Entry) ([]int, error) {
 	}
 	unions := 0
 	for i, a := range group {
-		for j := i + 1; j < len(group) && group[j].ID-a.ID <= e.slabStride[0]; j++ {
+		for j := i + 1; j < len(group) && group[j].ID-a.ID <= e.stride[e.axesT[0]]; j++ {
 			if e.adjacent(a.ID, group[j].ID) {
 				if ri, rj := find(i), find(j); ri != rj {
 					parent[max(ri, rj)] = min(ri, rj)
@@ -484,29 +464,29 @@ func (e *engine) appendGroup(dst []int, group []core.Entry) ([]int, error) {
 	return dst, nil
 }
 
-// adjacent reports whether slabs s < t are one grid step apart: t − s is
-// the slab stride of one tied axis, and adding it to s moves no other
-// coordinate (the strides are distinct powers of M, so at most one fits).
+// adjacent reports whether the slabs based at s < t are one grid step
+// apart: t − s is the stride of one tied axis, and adding it to s moves no
+// other coordinate (tied strides are distinct, so at most one fits).
 func (e *engine) adjacent(s, t int) bool {
-	for p, st := range e.slabStride {
-		if t-s == st {
+	for p, a := range e.axesT {
+		if t-s == e.stride[a] {
 			return e.coord(s, p)+1 < e.m
 		}
 	}
 	return false
 }
 
-// appendSlab emits the vertices of slab s in the recursive spectral order
-// of the non-tied sub-grid.
-func (e *engine) appendSlab(dst []int, s int) ([]int, error) {
+// appendSlab emits the vertices of the slab based at key in the recursive
+// spectral order of the non-tied sub-grid.
+func (e *engine) appendSlab(dst []int, key int) ([]int, error) {
 	if e.nonTVol == 1 {
-		return append(dst, e.key(s)), nil
+		return append(dst, key), nil
 	}
 	var unit boxShape
 	for p := range e.axesT {
 		unit[p] = 1
 	}
-	return e.appendBox(dst, e.key(s), unit)
+	return e.appendBox(dst, key, unit)
 }
 
 // appendComponent emits one slab component in its recursive spectral order.
@@ -540,8 +520,8 @@ func (e *engine) appendComponent(dst []int, comp []int) ([]int, error) {
 		// solve of the induced subgraph, bounded by the component size,
 		// which is a vanishing fraction of the grid.
 		members := make([]int, 0, len(comp)*e.nonTVol)
-		for _, s := range comp {
-			members = e.appendSlabMembers(members, e.key(s))
+		for _, key := range comp {
+			members = e.appendSlabMembers(members, key)
 		}
 		slices.Sort(members)
 		return e.solveSubgraph(dst, members)
