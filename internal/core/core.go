@@ -123,7 +123,7 @@ func SpectralOrder(g *graph.Graph, opt Options) (*Result, error) {
 		// Tie groups with identical induced subgraphs share one recursive
 		// solve: the constant-Fiedler slabs of a rectangular grid are
 		// translation-congruent, so one slab's order serves all of them
-		// (the analytic engine memoizes the same way in slabRanks).
+		// (the analytic engine memoizes box orders by shape the same way).
 		tieCache := map[string][]int{}
 		ordered, flipped, err := OrderByValues(ids, vals, func(dst, group []int) ([]int, error) {
 			return resolveTieGroup(dst, g, group, opt, tieCache)

@@ -149,9 +149,13 @@ func MixBalanced(sp EigenspaceMix, seed int64) []float64 {
 			bestF = cd.f
 		}
 	}
-	// Two ambient buffers serve every candidate: the best so far and the
-	// one being assembled. The functional's weights are hashed once.
-	var best, x, weights []float64
+	// The functional's weights are hashed once, and two ambient buffers
+	// serve every candidate: the best so far and the one being assembled.
+	weights := make([]float64, n)
+	for v := range weights {
+		weights[v] = mixWeight(v)
+	}
+	var best, x []float64
 	bestL := math.Inf(-1)
 	for _, cd := range cands {
 		if cd.f > bestF+quarticPickTol*(1+bestF) {
@@ -159,12 +163,6 @@ func MixBalanced(sp EigenspaceMix, seed int64) []float64 {
 		}
 		if x == nil {
 			x = make([]float64, n)
-		}
-		if weights == nil {
-			weights = make([]float64, n)
-			for v := range weights {
-				weights[v] = mixWeight(v)
-			}
 		}
 		sp.Assemble(cd.c, x)
 		if l := mixFunctional(weights, x); l > bestL {
