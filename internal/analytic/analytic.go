@@ -31,15 +31,16 @@
 //   - Tie groups are resolved analytically, in one pass over the groups
 //     with scratch owned by the call. A group is a union of slabs; slabs
 //     whose tied coordinates differ by one step are adjacent, and the
-//     components of that slab graph (a union-find over the group's members,
-//     in a reused buffer) are emitted in order of their smallest id. A component that is an
-//     axis-aligned box in tied-coordinate space induces a sub-grid, so the
-//     paper's recursive tie-breaking recurses into the closed form again:
-//     the box's order depends only on its dims, and translating it keeps
-//     the relative order of ids, so each distinct box shape is ordered once
-//     per call and reused at every offset. The recursion never solves an
-//     eigenproblem at any level, except for band-shaped components that
-//     snapping merges on axes ≳1000 long (see appendComponent).
+//     components of that slab graph (a union-find over the group's
+//     members, in a reused buffer) are emitted in order of their smallest
+//     id. A component that is an axis-aligned box in tied-coordinate space
+//     induces a sub-grid, so the paper's recursive tie-breaking recurses
+//     into the closed form again: the box's order depends only on its
+//     dims, and translating it keeps the relative order of ids, so each
+//     distinct box shape is ordered once per call and reused at every
+//     offset. The recursion never solves an eigenproblem at any level,
+//     except for band-shaped components that snapping merges on axes
+//     ≳1000 long (see appendComponent).
 //
 // The result is pinned rank-for-rank to the eigensolver path wherever the
 // solver resolves the spectrum faithfully: both paths share the ordering
@@ -390,7 +391,6 @@ func (e *engine) order(x []float64) (ordered []int, flipped bool, err error) {
 		case 1:
 			ordered, err = e.appendSlab(ordered, group[0].ID)
 		default:
-			core.SortByID(group)
 			ordered, err = e.appendGroup(ordered, group)
 		}
 		return err

@@ -124,8 +124,8 @@ func sortEntries(ents []Entry) {
 	copy(ents, sorted)
 }
 
-// SortByID sorts a tie group's entries ascending by id.
-func SortByID(group []Entry) {
+// sortByID sorts a tie group's entries ascending by id.
+func sortByID(group []Entry) {
 	if len(group) > 16 {
 		slices.SortFunc(group, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
 		return
@@ -139,9 +139,9 @@ func SortByID(group []Entry) {
 
 // VisitTieGroups sorts ents ascending by (value, id), snaps them into tie
 // groups (steps 1 and 2 above) and calls visit on each group in the
-// oriented order, as a subslice of ents still sorted by value. visit may
-// reorder the entries of the group it is given — the snapping has already
-// read them — but must not keep the slice. A visit error stops the walk.
+// oriented order, as a subslice of ents re-sorted ascending by id. visit
+// may reorder that subslice but must not keep it. A visit error stops the
+// walk.
 // The result reports whether orientation reversed the value order. When
 // every value snaps into one group (a constant or near-constant
 // assignment), visit receives all of ents in one call; callers treat that
@@ -172,6 +172,7 @@ func VisitTieGroups(ents []Entry, visit func(group []Entry) error) (flipped bool
 			for j < n && joined(j) {
 				j++
 			}
+			sortByID(ents[i:j])
 			if err := visit(ents[i:j]); err != nil {
 				return false, err
 			}
@@ -184,6 +185,7 @@ func VisitTieGroups(ents []Entry, visit func(group []Entry) error) (flipped bool
 		for i > 0 && joined(i) {
 			i--
 		}
+		sortByID(ents[i:j])
 		if err := visit(ents[i:j]); err != nil {
 			return false, err
 		}
@@ -228,7 +230,6 @@ func OrderByValues(ids []int, vals []float64, resolve func(dst, group []int) ([]
 			// assignment): recursion would not terminate, so id order.
 			ordered = append(ordered, ids...)
 		default:
-			SortByID(group)
 			members = members[:0]
 			for _, e := range group {
 				members = append(members, e.ID)
