@@ -121,6 +121,16 @@ func TestClosedFormAppliesOnlyToDefaultBuilds(t *testing.T) {
 	if ix.Solver() != "" {
 		t.Errorf("9 tied axes should run the solver, got %q", ix.Solver())
 	}
+	// One longest axis over nine tied sides of 2: the top level is in
+	// reach, but every slab is a sub-grid with nine tied axes. That refusal
+	// inside the recursion also falls back instead of failing the build.
+	ix, err = spectrallpm.Build(context.Background(), spectrallpm.WithGrid(append([]int{3}, dims9...)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Solver() != "" {
+		t.Errorf("a sub-grid with 9 tied axes should run the solver, got %q", ix.Solver())
+	}
 }
 
 // TestClosedFormProvenancePersists: the solver field survives the v2

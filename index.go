@@ -2,6 +2,7 @@ package spectrallpm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -335,7 +336,8 @@ func buildGridIndex(ctx context.Context, cfg *buildConfig) (*Index, error) {
 func buildSpectralGrid(ctx context.Context, cfg *buildConfig, ix *Index) error {
 	if closedFormApplies(cfg) {
 		ar, err := analytic.GridOrder(cfg.grid, cfg.solver.Seed)
-		if err == nil {
+		switch {
+		case err == nil:
 			// GridOrder hands back an inverse pair it has already checked
 			// to be permutations; the mapping adopts them as they are.
 			m, err := order.FromValidated("spectral", cfg.grid, ar.Rank, ar.Order)
@@ -347,9 +349,14 @@ func buildSpectralGrid(ctx context.Context, cfg *buildConfig, ix *Index) error {
 			ix.meta = spectralProvenance(cfg)
 			ix.meta.solver = SolverClosedForm
 			return nil
+		case !errors.Is(err, analytic.ErrNoClosedForm):
+			// A fault of the engine, not a refusal: running the solver
+			// instead would hide it behind a slower, possibly different
+			// order.
+			return err
 		}
-		// Any closed-form refusal (e.g. more tied longest axes than the
-		// mixing cap) runs the eigensolver instead.
+		// A closed-form refusal (more tied longest axes than the mixing
+		// cap, here or in a sub-grid) runs the eigensolver instead.
 	}
 	gr := graph.GridGraphWeighted(cfg.grid, cfg.conn, cfg.weight)
 	for _, e := range cfg.affinity {

@@ -67,10 +67,11 @@ import (
 // than mix a larger basis than the solver would.
 const maxMixAxes = 8
 
-// errNoClosedForm reports a grid outside the closed-form engine's reach
-// (more tied longest axes than the solver-mirroring mixing cap). Callers
-// fall back to the eigensolver.
-var errNoClosedForm = errors.New("analytic: tie structure has no closed form")
+// ErrNoClosedForm reports a grid outside the closed-form engine's reach
+// (more tied longest axes than the solver-mirroring mixing cap, at the top
+// level or in a sub-grid of the recursion). Callers fall back to the
+// eigensolver on it, and only on it: any other GridOrder error is a fault.
+var ErrNoClosedForm = errors.New("analytic: tie structure has no closed form")
 
 // Result is the closed-form spectral order of a default grid.
 type Result struct {
@@ -112,8 +113,9 @@ func Applicable(g *graph.Grid) bool {
 // GridOrder computes the spectral order of the orthogonal unit-weight graph
 // of g analytically, in O(N log N) time and zero eigensolves. seed drives
 // the deterministic degenerate mixing exactly as it does on the solver
-// path. An error (errNoClosedForm wrapped, or a tied-axis count beyond
-// maxMixAxes) means the caller should run the eigensolver instead.
+// path. An error wrapping ErrNoClosedForm means the caller should run the
+// eigensolver instead; any other error (an order that is not a
+// permutation, a failed sub-solve) is returned as a fault.
 func GridOrder(g *graph.Grid, seed int64) (*Result, error) {
 	n := g.Size()
 	if n == 1 {
@@ -223,7 +225,7 @@ func newEngine(g *graph.Grid, seed int64) (*engine, error) {
 	}
 	if len(e.axesT) > maxMixAxes {
 		return nil, fmt.Errorf("analytic: %d tied longest axes exceed the %d-member mixing cap: %w",
-			len(e.axesT), maxMixAxes, errNoClosedForm)
+			len(e.axesT), maxMixAxes, ErrNoClosedForm)
 	}
 	e.cosT = make([]float64, e.m)
 	for i := range e.cosT {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"math"
 	"slices"
 )
 
@@ -60,82 +59,8 @@ func compareEntries(a, b Entry) int {
 	return cmp.Compare(a.ID, b.ID)
 }
 
-// bucketSortMin is the entry count from which sortEntries distributes
-// entries over value buckets instead of comparison-sorting them.
-const bucketSortMin = 256
-
-// sortEntries sorts ents by compareEntries. From bucketSortMin entries on,
-// it first distributes them over len/2 buckets by the value's position in
-// the value range. That map is monotone — rounding preserves order, so a
-// smaller value never lands in a later bucket, and equal values (±0
-// included) share one — so sorting each bucket by compareEntries yields
-// the one sorted sequence, in O(n) expected work instead of O(n log n)
-// comparisons. Ranges the map cannot scale (NaN, infinite or degenerate
-// spans) take the comparison sort.
-func sortEntries(ents []Entry) {
-	n := len(ents)
-	lo, hi := ents[0].Val, ents[0].Val
-	nan := false
-	for _, e := range ents[1:] {
-		if e.Val < lo {
-			lo = e.Val
-		}
-		if e.Val > hi {
-			hi = e.Val
-		}
-		nan = nan || e.Val != e.Val
-	}
-	nb := n / 2
-	scale := float64(nb) / (hi - lo)
-	if n < bucketSortMin || nan || !(hi-lo > 0) || math.IsInf(scale, 0) {
-		slices.SortFunc(ents, compareEntries)
-		return
-	}
-	bucket := func(v float64) int { return min(int((v-lo)*scale), nb-1) }
-	start := make([]int32, nb+1)
-	for _, e := range ents {
-		start[bucket(e.Val)+1]++
-	}
-	for b := 1; b <= nb; b++ {
-		start[b] += start[b-1]
-	}
-	sorted := make([]Entry, n)
-	next := start[:nb]
-	for _, e := range ents {
-		b := bucket(e.Val)
-		sorted[next[b]] = e
-		next[b]++
-	}
-	// next[b] now holds the end of bucket b, which is where b+1 starts.
-	lo32 := int32(0)
-	for _, hi32 := range next {
-		b := sorted[lo32:hi32]
-		lo32 = hi32
-		if len(b) > 16 {
-			slices.SortFunc(b, compareEntries)
-			continue
-		}
-		for i := 1; i < len(b); i++ {
-			for j := i; j > 0 && compareEntries(b[j], b[j-1]) < 0; j-- {
-				b[j], b[j-1] = b[j-1], b[j]
-			}
-		}
-	}
-	copy(ents, sorted)
-}
-
-// sortByID sorts a tie group's entries ascending by id.
-func sortByID(group []Entry) {
-	if len(group) > 16 {
-		slices.SortFunc(group, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
-		return
-	}
-	for i := 1; i < len(group); i++ {
-		for j := i; j > 0 && group[j].ID < group[j-1].ID; j-- {
-			group[j], group[j-1] = group[j-1], group[j]
-		}
-	}
-}
+// compareIDs orders a tie group's entries ascending by id.
+func compareIDs(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }
 
 // VisitTieGroups sorts ents ascending by (value, id), snaps them into tie
 // groups (steps 1 and 2 above) and calls visit on each group in the
@@ -151,7 +76,7 @@ func VisitTieGroups(ents []Entry, visit func(group []Entry) error) (flipped bool
 	if n == 0 {
 		return false, nil
 	}
-	sortEntries(ents)
+	slices.SortFunc(ents, compareEntries)
 	tol := snapRelTol * (ents[n-1].Val - ents[0].Val)
 	// joined reports whether ents[i] snaps onto ents[i-1].
 	joined := func(i int) bool { return !(ents[i].Val-ents[i-1].Val > tol) }
@@ -172,7 +97,7 @@ func VisitTieGroups(ents []Entry, visit func(group []Entry) error) (flipped bool
 			for j < n && joined(j) {
 				j++
 			}
-			sortByID(ents[i:j])
+			slices.SortFunc(ents[i:j], compareIDs)
 			if err := visit(ents[i:j]); err != nil {
 				return false, err
 			}
@@ -185,7 +110,7 @@ func VisitTieGroups(ents []Entry, visit func(group []Entry) error) (flipped bool
 		for i > 0 && joined(i) {
 			i--
 		}
-		sortByID(ents[i:j])
+		slices.SortFunc(ents[i:j], compareIDs)
 		if err := visit(ents[i:j]); err != nil {
 			return false, err
 		}

@@ -175,6 +175,20 @@ func TestOrderByValuesParity(t *testing.T) {
 	check("constant", []int{0, 1, 2, 3}, []float64{2, 2, 2, 2})
 	check("whole near-constant", []int{0, 2, 5}, []float64{1, 1 + 1e-13, 1 + 2e-13})
 	check("signed zeros", []int{0, 1, 2, 3}, []float64{math.Copysign(0, -1), 0, 1, math.Copysign(0, -1)})
+	// Infinite values and a span that overflows to +Inf, on components
+	// large enough for any size-dependent sort strategy.
+	for _, c := range []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"infinite values", math.Inf(-1), math.Inf(1)},
+		{"+Inf only", 0, math.Inf(1)},
+		{"overflowing span", -1e308, 1e308},
+	} {
+		ids, vals := tieHeavyCase(rng, 300)
+		vals[17], vals[250] = c.lo, c.hi
+		check(c.name, ids, vals)
+	}
 	for size := 1; size <= 12; size++ {
 		n := 12
 		ids := make([]int, n)
